@@ -7,8 +7,8 @@ the other, programming encodings, digit-oracle expressiveness bridges,
 and a seeded Monte Carlo sampler.
 """
 
-from .bigstep import eval_big, eval_big_cbn, eval_big_cbv
-from .dist import Dyadic, MassError, SubDist, combine, from_value, leq, mass
+from .bigstep import eval_big
+from .dist import Dyadic, MassError, SubDist, combine, from_value
 from .reduction import CBN, CBV, step, step_cbn, step_cbv
 from .smallstep import (
     Bracket,
@@ -16,7 +16,6 @@ from .smallstep import (
     OpenTermError,
     approximate,
     divergence_bracket,
-    upper_bound,
 )
 from .syntax import (
     Abs,
@@ -25,9 +24,7 @@ from .syntax import (
     ParseError,
     Term,
     Var,
-    alpha_eq,
     canonicalize,
-    free_vars,
     is_value,
     parse,
     print_term,
@@ -49,24 +46,17 @@ __all__ = [
     "SubDist",
     "Term",
     "Var",
-    "alpha_eq",
     "approximate",
     "canonicalize",
     "combine",
     "divergence_bracket",
     "eval_big",
-    "eval_big_cbn",
-    "eval_big_cbv",
-    "free_vars",
     "from_value",
     "is_value",
-    "leq",
-    "mass",
     "parse",
     "print_term",
     "step",
     "step_cbn",
     "step_cbv",
     "substitute",
-    "upper_bound",
 ]

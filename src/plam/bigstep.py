@@ -16,7 +16,7 @@ any result because evaluation is pure.
 
 from __future__ import annotations
 
-from .dist import Dyadic, HALF, SubDist, combine, from_value
+from .dist import HALF, SubDist, combine, from_value
 from .reduction import CBN, CBV
 from .smallstep import OpenTermError
 from .syntax import Abs, App, Choice, Term, is_value, substitute
@@ -45,20 +45,17 @@ def eval_big(t: Term, strategy: str, fuel: int) -> SubDist:
                     e = go(arg, fuel - 1)
                     parts = [
                         (
-                            d.get(f) * e.get(v),
+                            mf * mv,
                             go(substitute(f.body, f.binder, v), fuel - 1),
                         )
-                        for f in d.support()
+                        for f, mf in d.items()
                         if isinstance(f, Abs)
-                        for v in e.support()
+                        for v, mv in e.items()
                     ]
                 else:
                     parts = [
-                        (
-                            d.get(f),
-                            go(substitute(f.body, f.binder, arg), fuel - 1),
-                        )
-                        for f in d.support()
+                        (mf, go(substitute(f.body, f.binder, arg), fuel - 1))
+                        for f, mf in d.items()
                         if isinstance(f, Abs)
                     ]
                 result = combine(parts)
@@ -77,11 +74,3 @@ def eval_big(t: Term, strategy: str, fuel: int) -> SubDist:
         return result
 
     return go(t, fuel)
-
-
-def eval_big_cbv(t: Term, fuel: int) -> SubDist:
-    return eval_big(t, CBV, fuel)
-
-
-def eval_big_cbn(t: Term, fuel: int) -> SubDist:
-    return eval_big(t, CBN, fuel)

@@ -12,8 +12,12 @@ from . import cps
 from .bigstep import eval_big
 from .dist import ONE
 from .reduction import CBN, CBV
-from .smallstep import DEFAULT_FRONTIER_CAP, approximate, divergence_bracket
+from .smallstep import DEFAULT_FRONTIER_CAP, approximate
 from .syntax import Term, parse
+
+# largest big-step fuel the bigsmall suite tries when matching a
+# stabilized small-step run
+MAX_BIG_FUEL = 400
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ def run_duality_suite(
             bracket = approximate(term, strategy, fuel, frontier_cap)
             if bracket.lower.mass() + bracket.residual != ONE:
                 problems.append(f"{strategy}: mass+residual != 1")
-            low, up = divergence_bracket(term, strategy, fuel, frontier_cap)
+            low, up = bracket.divergence()
             if low > up:
                 problems.append(f"{strategy}: divergence lower > upper")
             if bracket.lower.mass() + low > ONE:
@@ -63,13 +67,11 @@ def run_duality_suite(
 
 
 def run_bigsmall_suite(
-    corpus,
-    fuel: int = 50,
-    max_big_fuel: int = 400,
-    frontier_cap: int = DEFAULT_FRONTIER_CAP,
+    corpus, fuel: int = 50, frontier_cap: int = DEFAULT_FRONTIER_CAP
 ) -> list[CheckOutcome]:
-    """Small-step versus big-step: exact equality once both stabilize,
-    and big-step domination at doubled fuel otherwise."""
+    """Small-step versus big-step: exact equality once both stabilize
+    (big-step fuel doubling up to MAX_BIG_FUEL), and big-step domination
+    at doubled fuel otherwise."""
     outcomes = []
     for text, term in corpus:
         problems = []
@@ -81,7 +83,7 @@ def run_bigsmall_suite(
             if not small.residual:
                 stabilized = None
                 big_fuel = 1
-                while big_fuel <= max_big_fuel:
+                while big_fuel <= MAX_BIG_FUEL:
                     candidate = eval_big(term, strategy, big_fuel)
                     if candidate.mass() == small.lower.mass():
                         stabilized = candidate

@@ -13,7 +13,7 @@ from importlib import resources
 
 from . import checks, cps, encodings, expressiveness, sampler
 from .bigstep import eval_big
-from .dist import Dyadic, SubDist
+from .dist import Dyadic, SubDist, sorted_by_term
 from .reduction import CBN, CBV
 from .smallstep import (
     DEFAULT_FRONTIER_CAP,
@@ -139,7 +139,7 @@ def _cmd_eval(args) -> int:
             print(f"  mass {d.mass()}")
         return EXIT_OK
     bracket = approximate(term, args.strategy, args.fuel, args.frontier_cap)
-    low, up = divergence_bracket(term, args.strategy, args.fuel, args.frontier_cap)
+    low, up = bracket.divergence()
     if args.json:
         obj = _bracket_json(bracket, low, up)
         obj["engine"] = "small"
@@ -186,9 +186,7 @@ def _cmd_sample(args) -> int:
             f"{args.samples} samples, {args.strategy}, seed {args.seed} "
             f"({result.algorithm}):"
         )
-        for v, c in sorted(
-            result.counts.items(), key=lambda kv: print_term(kv[0], canonical=True)
-        ):
+        for v, c in sorted_by_term(result.counts.items()):
             print(
                 f"  {print_term(v, canonical=True)}  {c}  (~{c / args.samples:.6g})"
             )
@@ -232,7 +230,7 @@ def _cmd_demo(args) -> int:
         term = encodings.standard_choice(left, right)
         print(f"standard choice of TT against OMEGA: {print_term(term)}")
         bracket = approximate(term, CBV, 50)
-        low, up = divergence_bracket(term, CBV, 50)
+        low, up = bracket.divergence()
         _show_dist(bracket.lower)
         print(f"  residual {bracket.residual}, divergence in [{low}, {up}]")
     return EXIT_OK

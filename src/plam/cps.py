@@ -264,7 +264,7 @@ class SimulationReport:
 
 
 def _brackets_overlap(a_lower: SubDist, a_res, b_lower: SubDist, b_res) -> bool:
-    for v in set(a_lower.support()) | set(b_lower.support()):
+    for v in {v for v, _ in a_lower.items()} | {v for v, _ in b_lower.items()}:
         lo_a, lo_b = a_lower.get(v), b_lower.get(v)
         if lo_a > lo_b + b_res or lo_b > lo_a + a_res:
             return False

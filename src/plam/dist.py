@@ -126,6 +126,12 @@ ONE = Dyadic(1)
 HALF = Dyadic(1, 1)
 
 
+def sorted_by_term(pairs: Iterable[tuple[Term, object]]) -> list:
+    """(term, x) pairs sorted by the term's canonical text: the order of
+    everything printed or serialized, never of the engines' own loops."""
+    return sorted(pairs, key=lambda kv: print_term(kv[0], canonical=True))
+
+
 class SubDist:
     """Finite map from values to positive dyadic masses, total at most 1."""
 
@@ -155,7 +161,7 @@ class SubDist:
         return self._entries.get(v, ZERO)
 
     def support(self) -> list[Term]:
-        return sorted(self._entries, key=lambda v: print_term(v, canonical=True))
+        return [v for v, _ in sorted_by_term(self._entries.items())]
 
     def items(self):
         return self._entries.items()
@@ -176,19 +182,14 @@ class SubDist:
 
     def __repr__(self) -> str:
         body = ", ".join(
-            f"{print_term(v, canonical=True)}: {m}" for v, m in sorted(
-                self._entries.items(),
-                key=lambda kv: print_term(kv[0], canonical=True),
-            )
+            f"{print_term(v, canonical=True)}: {m}"
+            for v, m in sorted_by_term(self._entries.items())
         )
         return "{" + body + "}"
 
     def leq(self, other: "SubDist") -> bool:
         """Pointwise order: self(v) <= other(v) everywhere."""
         return all(m <= other.get(v) for v, m in self._entries.items())
-
-    def scale(self, w: Dyadic) -> "SubDist":
-        return SubDist((v, m * w) for v, m in self._entries.items())
 
     def to_json(self) -> dict:
         entries = [
@@ -197,10 +198,7 @@ class SubDist:
                 "num": str(m.num),
                 "exp": m.exp,
             }
-            for v, m in sorted(
-                self._entries.items(),
-                key=lambda kv: print_term(kv[0], canonical=True),
-            )
+            for v, m in sorted_by_term(self._entries.items())
         ]
         return {"entries": entries, "mass": self._mass.to_json()}
 
@@ -229,22 +227,3 @@ def combine(parts: Iterable[tuple[Dyadic, SubDist]]) -> SubDist:
                 prev = acc.get(v)
                 acc[v] = wm if prev is None else prev + wm
     return SubDist(acc)
-
-
-def mass(d: SubDist) -> Dyadic:
-    return d.mass()
-
-
-def leq(a: SubDist, b: SubDist) -> bool:
-    return a.leq(b)
-
-
-def scale_by_mass(d: SubDist, w: Dyadic) -> SubDist:
-    return d.scale(w)
-
-
-def meet(a: SubDist, b: SubDist) -> SubDist:
-    """Pointwise minimum (greatest lower bound)."""
-    return SubDist(
-        (v, min(m, b.get(v))) for v, m in a.items() if b.get(v)
-    )

@@ -266,11 +266,10 @@ def fdt_from_dist(d: Mapping[int, Dyadic]) -> Term:
     return build(codes)
 
 
-def run_mfdt(t: Term, fuel: int, frontier_cap: int | None = None):
+def run_mfdt(t: Term, fuel: int):
     """Evaluate MFDT applied to a tree, call-by-value."""
     from . import smallstep
 
     if fdt_shape(t) is None:
         raise FdtError(f"not a finite dyadic tree: {t}")
-    cap = smallstep.DEFAULT_FRONTIER_CAP if frontier_cap is None else frontier_cap
-    return smallstep.approximate(App(MFDT, t), CBV, fuel, cap)
+    return smallstep.approximate(App(MFDT, t), CBV, fuel)

@@ -121,7 +121,7 @@ def soundness_approx(
     for fuel in fuel_schedule:
         bracket = approximate(t, CBV, fuel, frontier_cap)
         if bracket.residual < threshold or (not bracket.residual and not n):
-            for v in bracket.lower.support():
+            for v, _ in bracket.lower.items():
                 if decode_nat(v) is None:
                     raise OracleError(f"non-numeral in support: {v}")
             return bracket.lower.get(encode_nat(a)).digits(n)

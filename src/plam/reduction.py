@@ -19,10 +19,6 @@ class StuckTermError(RuntimeError):
     """No rule applies: a free variable sits in head position."""
 
 
-def _wrap(succs: list[Term], build) -> list[Term]:
-    return [build(s) for s in succs]
-
-
 def step_cbv(t: Term) -> list[Term] | None:
     """Call-by-value: arguments are evaluated before beta, and both
     branches of a choice are evaluated before the coin is tossed."""
@@ -31,17 +27,17 @@ def step_cbv(t: Term) -> list[Term] | None:
             return None
         case App(fun, arg):
             if not is_value(fun):
-                return _wrap(step_cbv(fun), lambda s: App(s, arg))
+                return [App(s, arg) for s in step_cbv(fun)]
             if not is_value(arg):
-                return _wrap(step_cbv(arg), lambda s: App(fun, s))
+                return [App(fun, s) for s in step_cbv(arg)]
             if isinstance(fun, Abs):
                 return [substitute(fun.body, fun.binder, arg)]
             raise StuckTermError(f"variable in head position: {t}")
         case Choice(left, right):
             if not is_value(left):
-                return _wrap(step_cbv(left), lambda s: Choice(s, right))
+                return [Choice(s, right) for s in step_cbv(left)]
             if not is_value(right):
-                return _wrap(step_cbv(right), lambda s: Choice(left, s))
+                return [Choice(left, s) for s in step_cbv(right)]
             return [left, right]
     raise TypeError(f"not a term: {t!r}")
 
@@ -57,7 +53,7 @@ def step_cbn(t: Term) -> list[Term] | None:
                 return [substitute(fun.body, fun.binder, arg)]
             if isinstance(fun, Var):
                 raise StuckTermError(f"variable in head position: {t}")
-            return _wrap(step_cbn(fun), lambda s: App(s, arg))
+            return [App(s, arg) for s in step_cbn(fun)]
         case Choice(left, right):
             return [left, right]
     raise TypeError(f"not a term: {t!r}")

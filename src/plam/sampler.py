@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .dist import sorted_by_term
 from .reduction import step
 from .smallstep import OpenTermError
 from .syntax import Term, is_value, print_term
@@ -70,10 +71,7 @@ class EstimateResult:
                 "count": c,
                 "frequency": c / self.samples,
             }
-            for v, c in sorted(
-                self.counts.items(),
-                key=lambda kv: print_term(kv[0], canonical=True),
-            )
+            for v, c in sorted_by_term(self.counts.items())
         ]
         return {
             "strategy": self.strategy,

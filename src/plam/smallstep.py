@@ -6,23 +6,25 @@ at a fired choice and merging alpha-equivalent results; terms that have
 become values move into the lower approximant.  After `fuel` rounds the
 pending mass is the residual, so lower mass + residual = 1 exactly.
 
-Divergence brackets: the upper bound is 1 minus the converged mass; the
-lower bound counts frontier mass sitting on states whose forward closure
-is finite and value-free (every self-loop like Omega qualifies).  Terms
-that diverge while growing forever get lower bound 0; that limitation is
-deliberate.
+Divergence brackets come from the same run: the upper bound is 1 minus
+the converged mass, i.e. the residual; the lower bound counts frontier
+mass sitting on states whose forward closure is finite and value-free
+(every self-loop like Omega qualifies) and fits within CLOSURE_LIMIT
+states.  Terms that diverge while growing forever get lower bound 0;
+that limitation is deliberate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dist import Dyadic, ONE, SubDist, ZERO
 from .reduction import step
 from .syntax import Term, is_value, size
 
 DEFAULT_FRONTIER_CAP = 100_000
-DEFAULT_CLOSURE_LIMIT = 500
+# states one divergence closure may explore before it gives up
+CLOSURE_LIMIT = 500
 
 
 class FrontierCapError(RuntimeError):
@@ -44,23 +46,50 @@ class OpenTermError(ValueError):
 
 @dataclass(frozen=True)
 class Bracket:
-    """Exact evaluation state after a fuel-bounded run."""
+    """Exact evaluation state after a fuel-bounded run.
+
+    `frontier` holds the (term, mass) pairs still pending after the last
+    round, in the run's order; it feeds `divergence` and takes no part in
+    equality, hashing or the repr.
+    """
 
     lower: SubDist
     residual: Dyadic
     fuel: int
     strategy: str
+    frontier: tuple[tuple[Term, Dyadic], ...] = field(
+        compare=False, hash=False, repr=False
+    )
 
     def upper_bound(self, v: Term) -> Dyadic:
         """Best upper bound for the limit probability of value v."""
         return self.lower.get(v) + self.residual
 
+    def divergence(self) -> tuple[Dyadic, Dyadic]:
+        """Exact (lower, upper) bounds on the probability of divergence.
 
-def upper_bound(bracket: Bracket, v: Term) -> Dyadic:
-    return bracket.upper_bound(v)
+        The upper bound is the residual.  The frontier is walked in the
+        run's order with certificates shared across its states, since
+        which closures fit the budget depends on that order.
+        """
+        certified = ZERO
+        divergent: set[Term] = set()
+        escaping: set[Term] = set()
+        for term, mass in self.frontier:
+            if _certified_divergent(term, self.strategy, divergent, escaping):
+                certified = certified + mass
+        return certified, self.residual
 
 
-def _run(t, strategy, fuel, frontier_cap):
+def approximate(
+    t: Term,
+    strategy: str,
+    fuel: int,
+    frontier_cap: int = DEFAULT_FRONTIER_CAP,
+) -> Bracket:
+    """Exact lower approximant and residual after `fuel` rounds."""
+    if t.free_names:
+        raise OpenTermError(t)
     lower: dict[Term, Dyadic] = {}
     frontier: dict[Term, Dyadic] = {}
 
@@ -83,30 +112,19 @@ def _run(t, strategy, fuel, frontier_cap):
             raise FrontierCapError(frontier_cap, round_no, len(fresh))
         frontier = fresh
 
-    return lower, frontier
-
-
-def approximate(
-    t: Term,
-    strategy: str,
-    fuel: int,
-    frontier_cap: int = DEFAULT_FRONTIER_CAP,
-) -> Bracket:
-    """Exact lower approximant and residual after `fuel` rounds."""
-    if t.free_names:
-        raise OpenTermError(t)
-    lower, frontier = _run(t, strategy, fuel, frontier_cap)
     residual = ZERO
     for m in frontier.values():
         residual = residual + m
-    return Bracket(SubDist(lower), residual, fuel, strategy)
+    return Bracket(
+        SubDist(lower), residual, fuel, strategy, tuple(frontier.items())
+    )
 
 
 def _certified_divergent(
-    start: Term, strategy: str, limit: int, divergent: set, escaping: set
+    start: Term, strategy: str, divergent: set, escaping: set
 ) -> bool:
     """True when start's forward closure is finite, value-free and fully
-    explored within `limit` states."""
+    explored within CLOSURE_LIMIT states."""
     if start in divergent:
         return True
     if start in escaping:
@@ -119,7 +137,7 @@ def _certified_divergent(
     queue = [start]
     closed = True
     while queue:
-        if len(seen) > limit:
+        if len(seen) > CLOSURE_LIMIT:
             closed = False
             break
         term = queue.pop()
@@ -146,21 +164,7 @@ def divergence_bracket(
     strategy: str,
     fuel: int,
     frontier_cap: int = DEFAULT_FRONTIER_CAP,
-    closure_limit: int = DEFAULT_CLOSURE_LIMIT,
 ) -> tuple[Dyadic, Dyadic]:
-    """Exact (lower, upper) bounds on the probability of divergence."""
-    if t.free_names:
-        raise OpenTermError(t)
-    lower_approx, frontier = _run(t, strategy, fuel, frontier_cap)
-    converged = ZERO
-    for m in lower_approx.values():
-        converged = converged + m
-    upper = ONE - converged
-
-    certified = ZERO
-    divergent: set[Term] = set()
-    escaping: set[Term] = set()
-    for term, mass in frontier.items():
-        if _certified_divergent(term, strategy, closure_limit, divergent, escaping):
-            certified = certified + mass
-    return certified, upper
+    """Exact (lower, upper) bounds on the probability of divergence; the
+    same run as `approximate(...).divergence()`."""
+    return approximate(t, strategy, fuel, frontier_cap).divergence()

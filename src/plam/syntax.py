@@ -140,14 +140,6 @@ def _free_names(t: Term) -> frozenset[str]:
     raise TypeError(f"not a term: {t!r}")
 
 
-def free_vars(t: Term) -> frozenset[str]:
-    return t.free_names
-
-
-def alpha_eq(a: Term, b: Term) -> bool:
-    return a == b
-
-
 def size(t: Term) -> int:
     """Number of AST nodes."""
     match t:

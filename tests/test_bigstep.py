@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_term
-from plam.bigstep import eval_big, eval_big_cbn, eval_big_cbv
+from plam.bigstep import eval_big
 from plam.dist import HALF, ONE, SubDist, ZERO, from_value
 from plam.encodings import FF, OMEGA, TT
 from plam.reduction import CBN, CBV, STRATEGIES
@@ -60,11 +60,6 @@ def test_cbv_choice_discounts_by_the_other_branch_mass():
     # left branch diverges: under cbv the coin never fires at all
     t = Choice(OMEGA, I)
     assert eval_big(t, CBV, 40) == SubDist()
-
-
-def test_strategy_wrappers():
-    assert eval_big_cbv(App(I, I), 5) == eval_big(App(I, I), CBV, 5)
-    assert eval_big_cbn(App(I, I), 5) == eval_big(App(I, I), CBN, 5)
 
 
 @settings(max_examples=50, deadline=None)

@@ -7,8 +7,11 @@ import jsonschema
 import pytest
 
 import plam.cli as cli
-from plam.checks import CheckOutcome
+import plam.smallstep as smallstep
+from plam.checks import CheckOutcome, run_duality_suite
 from plam.cli import EXIT_CHECK, EXIT_EVAL, EXIT_INVALID, EXIT_OK, main
+from plam.reduction import STRATEGIES
+from plam.syntax import parse
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "eval-output.schema.json")
@@ -71,6 +74,44 @@ def test_eval_text_mode_reports_mass_and_divergence(capsys):
     assert code == EXIT_OK
     assert "mass 1/2^1, residual 1/2^1" in out
     assert "divergence in [1/2^1, 1/2^1]" in out
+
+
+def _count_steps(monkeypatch):
+    calls = []
+    original = smallstep.step
+
+    def counted(term, strategy):
+        calls.append(strategy)
+        return original(term, strategy)
+
+    monkeypatch.setattr(smallstep, "step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_eval_reduces_the_term_once(capsys, monkeypatch, strategy):
+    # the divergence bound reuses the bracket's run instead of a second one
+    program = "(\\x. XOR x x) (TT (+) FF)"
+    calls = _count_steps(monkeypatch)
+    smallstep.approximate(parse(program), strategy, 50)
+    one_run = len(calls)
+    assert one_run > 0
+    calls.clear()
+    code, _, _ = run(capsys, ["eval", program, "--strategy", strategy, "--fuel", "50"])
+    assert code == EXIT_OK
+    assert len(calls) == one_run
+
+
+def test_duality_suite_reduces_each_term_once_per_strategy(monkeypatch):
+    program = "(\\x. XOR x x) (TT (+) FF)"
+    calls = _count_steps(monkeypatch)
+    for strategy in STRATEGIES:
+        smallstep.approximate(parse(program), strategy, 50)
+    one_run_each = len(calls)
+    calls.clear()
+    (outcome,) = run_duality_suite([(program, parse(program))], fuel=50)
+    assert outcome.passed
+    assert len(calls) == one_run_each
 
 
 def test_eval_frontier_cap_exhaustion_exits_two(capsys):

@@ -16,8 +16,6 @@ from plam.dist import (
     SubDist,
     combine,
     from_value,
-    leq,
-    meet,
 )
 from plam.syntax import Abs, App, Var, parse
 
@@ -159,20 +157,7 @@ def test_leq_is_pointwise():
     big = SubDist({I: HALF, K: Dyadic(1, 2)})
     assert small.leq(big)
     assert not big.leq(small)
-    assert leq(EMPTY, small)
-
-
-def test_scale():
-    d = SubDist({I: HALF, K: HALF}).scale(HALF)
-    assert d.get(I) == Dyadic(1, 2) and d.get(K) == Dyadic(1, 2)
-
-
-def test_meet_takes_pointwise_minimum():
-    a = SubDist({I: HALF, K: Dyadic(1, 2)})
-    b = SubDist({I: Dyadic(1, 2), K2: HALF})
-    m = meet(a, b)
-    assert m.get(I) == Dyadic(1, 2)
-    assert m.get(K) == ZERO and m.get(K2) == ZERO
+    assert EMPTY.leq(small)
 
 
 def test_subdist_equality_and_hash():

@@ -151,6 +151,7 @@ def test_divergence_bracket_is_consistent_with_the_approximant(seed, strategy):
     t = random_term(random.Random(seed), 25)
     b = approximate(t, strategy, 25)
     low, up = divergence_bracket(t, strategy, 25)
+    assert b.divergence() == (low, up)
     assert low <= up
     assert up == b.residual
     assert b.lower.mass() + low <= ONE
