@@ -41,13 +41,24 @@ def load_corpus(path: str) -> list[tuple[str, Term]]:
     return entries
 
 
+def _run_suite(corpus, check) -> list[CheckOutcome]:
+    """One outcome per corpus term; check(term) lists the term's problems."""
+    outcomes = []
+    for text, term in corpus:
+        problems = check(term)
+        outcomes.append(
+            CheckOutcome(text, "FAIL" if problems else "PASS", "; ".join(problems))
+        )
+    return outcomes
+
+
 def run_duality_suite(
     corpus, fuel: int = 50, frontier_cap: int = DEFAULT_FRONTIER_CAP
 ) -> list[CheckOutcome]:
     """Mass conservation and the divergence bracket inequalities, both
     strategies, all exact."""
-    outcomes = []
-    for text, term in corpus:
+
+    def check(term):
         problems = []
         for strategy in (CBV, CBN):
             bracket = approximate(term, strategy, fuel, frontier_cap)
@@ -60,10 +71,9 @@ def run_duality_suite(
                 problems.append(f"{strategy}: converged mass + divergence lower > 1")
             if up != ONE - bracket.lower.mass():
                 problems.append(f"{strategy}: divergence upper mismatch")
-        outcomes.append(
-            CheckOutcome(text, "FAIL" if problems else "PASS", "; ".join(problems))
-        )
-    return outcomes
+        return problems
+
+    return _run_suite(corpus, check)
 
 
 def run_bigsmall_suite(
@@ -72,8 +82,8 @@ def run_bigsmall_suite(
     """Small-step versus big-step: exact equality once both stabilize
     (big-step fuel doubling up to MAX_BIG_FUEL), and big-step domination
     at doubled fuel otherwise."""
-    outcomes = []
-    for text, term in corpus:
+
+    def check(term):
         problems = []
         for strategy in (CBV, CBN):
             small = approximate(term, strategy, fuel, frontier_cap)
@@ -93,10 +103,9 @@ def run_bigsmall_suite(
                     problems.append(f"{strategy}: big-step never caught up")
                 elif stabilized != small.lower:
                     problems.append(f"{strategy}: stabilized results differ")
-        outcomes.append(
-            CheckOutcome(text, "FAIL" if problems else "PASS", "; ".join(problems))
-        )
-    return outcomes
+        return problems
+
+    return _run_suite(corpus, check)
 
 
 def run_simulation_suite(
@@ -104,8 +113,8 @@ def run_simulation_suite(
 ) -> list[CheckOutcome]:
     """Both continuation-passing simulations; PASS covers exact equality
     at stabilization and bracket overlap otherwise."""
-    outcomes = []
-    for text, term in corpus:
+
+    def check(term):
         problems = []
         for name, checker in (
             ("v-by-n", cps.check_simulation_v_by_n),
@@ -114,7 +123,6 @@ def run_simulation_suite(
             report = checker(term, fuel, frontier_cap)
             if report.status == "FAIL":
                 problems.append(f"{name}: {report.detail}")
-        outcomes.append(
-            CheckOutcome(text, "FAIL" if problems else "PASS", "; ".join(problems))
-        )
-    return outcomes
+        return problems
+
+    return _run_suite(corpus, check)

@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 invalid input, 2 evaluation gave up (frontier
-cap or oracle budget), 3 a property check failed.
+cap, oracle budget, recursion depth or memory), 3 a property check failed.
 """
 
 from __future__ import annotations
@@ -291,8 +291,11 @@ def main(argv=None) -> int:
     except (ParseError, OpenTermError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (FrontierCapError, expressiveness.OracleError) as exc:
+    except (FrontierCapError, expressiveness.OracleError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_EVAL
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_EVAL
 
 

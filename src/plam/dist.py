@@ -7,7 +7,9 @@ never with float tolerances.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -16,6 +18,16 @@ from .syntax import Term, is_value, parse, print_term
 
 class MassError(ValueError):
     """Total probability mass would exceed 1."""
+
+
+def _integer(text) -> int:
+    # int(str) refuses more than 4300 digits by default, and lifting that
+    # limit is process-wide; decimal converts exactly at any length
+    if type(text) is int:
+        return text
+    if not (isinstance(text, str) and re.fullmatch(r"[+-]?[0-9]+", text)):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(Decimal(text))
 
 
 @dataclass(frozen=True)
@@ -96,15 +108,16 @@ class Dyadic:
         return self.num / (1 << self.exp)
 
     def __str__(self) -> str:
-        return str(self.num) if self.exp == 0 else f"{self.num}/2^{self.exp}"
+        num = str(Decimal(self.num))  # str(int) also stops at 4300 digits
+        return num if self.exp == 0 else f"{num}/2^{self.exp}"
 
     def to_json(self) -> dict:
         # decimal string keeps arbitrary precision JSON-safe
-        return {"num": str(self.num), "exp": self.exp}
+        return {"num": str(Decimal(self.num)), "exp": self.exp}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Dyadic":
-        return cls(int(obj["num"]), int(obj["exp"]))
+        return cls(_integer(obj["num"]), int(obj["exp"]))
 
     def digits(self, n: int) -> str:
         """First n binary digits of a value in [0, 1].
@@ -193,11 +206,7 @@ class SubDist:
 
     def to_json(self) -> dict:
         entries = [
-            {
-                "value": print_term(v, canonical=True),
-                "num": str(m.num),
-                "exp": m.exp,
-            }
+            {"value": print_term(v, canonical=True), **m.to_json()}
             for v, m in sorted_by_term(self._entries.items())
         ]
         return {"entries": entries, "mass": self._mass.to_json()}
@@ -205,8 +214,7 @@ class SubDist:
     @classmethod
     def from_json(cls, obj: Mapping) -> "SubDist":
         return cls(
-            (parse(e["value"]), Dyadic(int(e["num"]), int(e["exp"])))
-            for e in obj["entries"]
+            (parse(e["value"]), Dyadic.from_json(e)) for e in obj["entries"]
         )
 
 

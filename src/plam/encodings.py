@@ -78,18 +78,14 @@ SUCC = Abs("n", Abs("x", Abs("y", App(Var("y"), Var("n")))))
 
 PAIR = Abs("a", Abs("b", Abs("x", App(App(Var("x"), Var("a")), Var("b")))))
 
-_NUMERAL_CACHE: dict[int, Term] = {}
-
 
 def encode_nat(n: int) -> Term:
     """Scott numeral: 0 is \\x.\\y. x, n+1 is \\x.\\y. y <n>."""
     if n < 0:
         raise ValueError(f"not a natural number: {n}")
-    t = _NUMERAL_CACHE.get(n)
-    if t is None:
-        prev = TT if n == 0 else encode_nat(n - 1)
-        t = TT if n == 0 else Abs("x", Abs("y", App(Var("y"), prev)))
-        _NUMERAL_CACHE[n] = t
+    t = TT
+    for _ in range(n):
+        t = Abs("x", Abs("y", App(Var("y"), t)))
     return t
 
 

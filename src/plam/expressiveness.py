@@ -15,13 +15,17 @@ from __future__ import annotations
 import math
 import subprocess
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .dist import Dyadic, HALF, ONE, ZERO
 from .encodings import MFDT, OMEGA, decode_nat, encode_nat, fdt_from_dist
 from .reduction import CBV
-from .smallstep import DEFAULT_FRONTIER_CAP, approximate
+from .smallstep import approximate
 from .syntax import Abs, App, Choice, Term, Var
+
+
+# fuels soundness_approx tries in turn before giving up
+SOUNDNESS_FUEL_SCHEDULE = (16, 32, 64, 128, 256, 512, 1024)
 
 
 class OracleError(RuntimeError):
@@ -102,24 +106,18 @@ class SubprocessOracle(DistOracle):
         self.close()
 
 
-def soundness_approx(
-    t: Term,
-    a: int,
-    n: int,
-    fuel_schedule: Iterable[int] = (16, 32, 64, 128, 256, 512, 1024),
-    frontier_cap: int = DEFAULT_FRONTIER_CAP,
-) -> str | None:
+def soundness_approx(t: Term, a: int, n: int) -> str | None:
     """First n binary digits of the probability of numeral a in t's
     call-by-value run.
 
-    Evaluates t under growing fuel until the residual drops below 2^-n,
-    then reads the digits off the lower approximant; returns None when
-    the schedule is exhausted first.  Rejects terms whose converged
-    support contains non-numerals.
+    Evaluates t under the fuels of SOUNDNESS_FUEL_SCHEDULE until the
+    residual drops below 2^-n, then reads the digits off the lower
+    approximant; returns None when the schedule is exhausted first.
+    Rejects terms whose converged support contains non-numerals.
     """
     threshold = Dyadic(1, n) if n else ZERO
-    for fuel in fuel_schedule:
-        bracket = approximate(t, CBV, fuel, frontier_cap)
+    for fuel in SOUNDNESS_FUEL_SCHEDULE:
+        bracket = approximate(t, CBV, fuel)
         if bracket.residual < threshold or (not bracket.residual and not n):
             for v, _ in bracket.lower.items():
                 if decode_nat(v) is None:

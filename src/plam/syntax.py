@@ -17,6 +17,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 
 # Reduction of translated terms stacks continuations a few thousand frames
 # deep; the default limit is too small for that.
@@ -45,10 +46,6 @@ class Term:
             return NotImplemented
         return self.alpha_key == other.alpha_key
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     def __hash__(self):
         return self._hash
 
@@ -67,8 +64,6 @@ class Term:
 
     def __repr__(self):
         return print_term(self)
-
-    __str__ = __repr__
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -100,31 +95,36 @@ def is_value(t: Term) -> bool:
 
 
 def _alpha_key(t: Term):
-    env: dict[str, int] = {}
+    """Nameless key from the children's cached keys: ("f", name) for a
+    free variable, ("b", i) for the variable bound i binders up, and
+    ("l", body), ("a", fun, arg), ("c", left, right)."""
+    match t:
+        case Var(name):
+            return ("f", name)
+        case Abs(binder, body):
+            return ("l", _bound_key(body, (binder,)))
+        case App(fun, arg):
+            return ("a", fun.alpha_key, arg.alpha_key)
+        case Choice(left, right):
+            return ("c", left.alpha_key, right.alpha_key)
+    raise TypeError(f"not a term: {t!r}")
 
-    def go(t: Term, depth: int):
-        match t:
-            case Var(name):
-                level = env.get(name)
-                if level is None:
-                    return ("f", name)
-                return ("b", depth - level)
-            case Abs(binder, body):
-                saved = env.get(binder)
-                env[binder] = depth + 1
-                key = ("l", go(body, depth + 1))
-                if saved is None:
-                    del env[binder]
-                else:
-                    env[binder] = saved
-                return key
-            case App(fun, arg):
-                return ("a", go(fun, depth), go(arg, depth))
-            case Choice(left, right):
-                return ("c", go(left, depth), go(right, depth))
-        raise TypeError(f"not a term: {t!r}")
 
-    return go(t, 0)
+def _bound_key(t: Term, bound: tuple[str, ...]):
+    """Key of t under the binders `bound`, innermost first.  A subterm
+    with none of them free keeps its own cached key."""
+    if t.free_names.isdisjoint(bound):
+        return t.alpha_key
+    match t:
+        case Var(name):
+            return ("b", bound.index(name))
+        case Abs(binder, body):
+            return ("l", _bound_key(body, (binder, *bound)))
+        case App(fun, arg):
+            return ("a", _bound_key(fun, bound), _bound_key(arg, bound))
+        case Choice(left, right):
+            return ("c", _bound_key(left, bound), _bound_key(right, bound))
+    raise TypeError(f"not a term: {t!r}")
 
 
 def _free_names(t: Term) -> frozenset[str]:
@@ -192,41 +192,25 @@ def canonicalize(t: Term) -> Term:
     """Rename binders to x0, x1, ... in leftmost-outermost order.
 
     Free variables keep their names; alpha-equivalent terms map to the
-    same canonical term.
+    same canonical term.  The binder structure is read off the key.
     """
-    free = t.free_names
-    counter = 0
-    mapping: dict[str, str] = {}
+    names = (n for n in map("x{}".format, count()) if n not in t.free_names)
 
-    def next_name() -> str:
-        nonlocal counter
-        while True:
-            name = f"x{counter}"
-            counter += 1
-            if name not in free:
-                return name
+    def go(key, scope: tuple[str, ...]) -> Term:
+        match key:
+            case ("f", name):
+                return Var(name)
+            case ("b", index):
+                return Var(scope[index])
+            case ("l", body):
+                name = next(names)
+                return Abs(name, go(body, (name, *scope)))
+            case ("a", fun, arg):
+                return App(go(fun, scope), go(arg, scope))
+            case ("c", left, right):
+                return Choice(go(left, scope), go(right, scope))
 
-    def go(t: Term) -> Term:
-        match t:
-            case Var(name):
-                return Var(mapping.get(name, name))
-            case Abs(binder, body):
-                new = next_name()
-                saved = mapping.get(binder)
-                mapping[binder] = new
-                result = Abs(new, go(body))
-                if saved is None:
-                    del mapping[binder]
-                else:
-                    mapping[binder] = saved
-                return result
-            case App(fun, arg):
-                return App(go(fun), go(arg))
-            case Choice(left, right):
-                return Choice(go(left), go(right))
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t)
+    return go(t.alpha_key, ())
 
 
 # ---------- printing ----------

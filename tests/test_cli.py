@@ -8,8 +8,10 @@ import pytest
 
 import plam.cli as cli
 import plam.smallstep as smallstep
+from plam.bigstep import eval_big
 from plam.checks import CheckOutcome, run_duality_suite
 from plam.cli import EXIT_CHECK, EXIT_EVAL, EXIT_INVALID, EXIT_OK, main
+from plam.dist import SubDist
 from plam.reduction import STRATEGIES
 from plam.syntax import parse
 
@@ -123,6 +125,49 @@ def test_eval_frontier_cap_exhaustion_exits_two(capsys):
 def test_eval_json_stdout_stays_pure(capsys):
     _, out, _ = run(capsys, ["eval", "(\\x. x) (\\y. y)", "--json"])
     json.loads(out)  # a single parseable object, nothing else
+
+
+# masses of this run have numerators of over 10,000 decimal digits, past
+# the interpreter's default 4300-digit limit on int/str conversion
+HUGE_MASSES = "(\\v0. v0 v0) ((\\v0. v0) (+) \\v0. v0 v0 v0)"
+HUGE_ARGV = [
+    "eval", HUGE_MASSES, "--engine", "big", "--strategy", "cbn", "--fuel", "24"
+]
+
+
+def test_eval_prints_masses_of_any_length(capsys):
+    code, out, err = run(capsys, HUGE_ARGV)
+    assert (code, err) == (EXIT_OK, "")
+    assert len(out.splitlines()[-1]) > 10_000
+
+
+def test_eval_json_round_trips_masses_of_any_length(capsys):
+    code, out, _ = run(capsys, HUGE_ARGV + ["--json"])
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    jsonschema.validate(obj, SCHEMA)
+    expected = eval_big(parse(HUGE_MASSES), "cbn", 24)
+    assert len(obj["mass"]["num"]) > 10_000
+    assert SubDist.from_json(obj) == expected
+    assert SubDist.from_json(obj).mass() == expected.mass()
+
+
+def test_too_deep_a_term_exits_two_without_a_traceback(capsys):
+    code, out, err = run(capsys, ["eval", "NAT 5000"])
+    assert code == EXIT_EVAL
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_running_out_of_memory_exits_two(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "eval", exhausted)
+    code, _, err = run(capsys, ["eval", "TT"])
+    assert code == EXIT_EVAL
+    assert err == "error: out of memory\n"
 
 
 # ---------- diverge ----------

@@ -107,6 +107,13 @@ def test_json_round_trip_keeps_exactness():
     d = Dyadic(12345, 20)
     assert Dyadic.from_json(d.to_json()) == d
     assert d.to_json() == {"num": "12345", "exp": 20}  # num is a string
+    assert Dyadic.from_json({"num": 12345, "exp": 20}) == d
+
+
+@pytest.mark.parametrize("num", ["1.5", "1E0", "10e0", " 1", "0x1", "", 1.0, True])
+def test_from_json_rejects_anything_but_decimal_digits(num):
+    with pytest.raises(ValueError):
+        Dyadic.from_json({"num": num, "exp": 0})
 
 
 # ---------- SubDist ----------

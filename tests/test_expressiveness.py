@@ -81,7 +81,7 @@ def test_soundness_on_a_tree_runner():
 
 
 def test_soundness_gives_up_when_the_residual_stays_large():
-    assert soundness_approx(parse("OMEGA"), 0, 2, fuel_schedule=(4, 8)) is None
+    assert soundness_approx(parse("OMEGA"), 0, 2) is None
 
 
 def test_soundness_rejects_non_numeral_support():

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_term
+from helpers import random_open_term, random_term
+from plam.dist import ONE
 from plam.encodings import OMEGA, TT
+from plam.reduction import STRATEGIES
+from plam.smallstep import approximate
 from plam.syntax import (
     Abs,
     App,
@@ -140,6 +143,66 @@ def test_alpha_eq_tracks_free_names_exactly():
 
 def test_hash_agrees_with_alpha_eq():
     assert len({parse("\\x. x"), parse("\\y. y"), parse("\\x. x x")}) == 2
+
+
+def test_keys_share_the_keys_of_closed_subterms():
+    t = OMEGA
+    assert App(t, t).alpha_key[1] is t.alpha_key
+    assert Abs("x", App(Var("x"), t)).alpha_key[1][2] is t.alpha_key
+
+
+def de_bruijn(t, scope=()):
+    """Nameless key by a walk of its own: scope lists the enclosing
+    binders outermost first, and a bound variable's index counts the
+    binders between it and the innermost binder of its name."""
+    match t:
+        case Var(name) if name in scope:
+            return ("b", scope[::-1].index(name))
+        case Var(name):
+            return ("f", name)
+        case Abs(binder, body):
+            return ("l", de_bruijn(body, scope + (binder,)))
+        case App(fun, arg):
+            return ("a", de_bruijn(fun, scope), de_bruijn(arg, scope))
+        case Choice(left, right):
+            return ("c", de_bruijn(left, scope), de_bruijn(right, scope))
+
+
+# terms over three names, so binders rebind and shadow each other and
+# some occurrences stay free
+_NAMES = st.sampled_from("xyz")
+_SHADOWING_TERMS = st.recursive(
+    _NAMES.map(Var),
+    lambda sub: st.one_of(
+        st.builds(Abs, _NAMES, sub),
+        st.builds(App, sub, sub),
+        st.builds(Choice, sub, sub),
+    ),
+    max_leaves=12,
+)
+_OPEN_TERMS = st.integers(0, 10**9).map(
+    lambda seed: random_open_term(random.Random(seed), ["x", "y", "v1"], 25)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_SHADOWING_TERMS, _OPEN_TERMS))
+def test_alpha_key_is_the_de_bruijn_form(t):
+    assert t.alpha_key == de_bruijn(t)
+    # wrap t, whose keys are now cached, under binders that may capture
+    # its free names
+    wrappers = (Abs("x", t), Abs("y", Abs("x", App(t, Choice(t, Var("y"))))))
+    for wrapped in wrappers:
+        assert wrapped.alpha_key == de_bruijn(wrapped)
+    c = canonicalize(t)
+    assert c == t and c.free_names == t.free_names
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_deep_numerals_evaluate(strategy):
+    t = parse("NAT 2000")
+    bracket = approximate(t, strategy, 2)
+    assert bracket.lower.get(t) == ONE
 
 
 def test_canonicalize_is_idempotent_and_alpha_preserving():
