@@ -13,7 +13,10 @@ oracle's from below, gaining one bit of mass per round.
 from __future__ import annotations
 
 import math
+import os
+import select
 import subprocess
+import time
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -23,6 +26,9 @@ from .reduction import CBV
 from .smallstep import approximate
 from .syntax import Abs, App, Choice, Term, Var
 
+
+# seconds a SubprocessOracle may take to answer one query
+ORACLE_TIMEOUT_S = 5.0
 
 # fuels soundness_approx tries in turn before giving up
 SOUNDNESS_FUEL_SCHEDULE = (16, 32, 64, 128, 256, 512, 1024)
@@ -73,31 +79,68 @@ def geometric_oracle() -> DistOracle:
 
 
 class SubprocessOracle(DistOracle):
-    """Line protocol: write 'a n', read back the n-digit bitstring."""
+    """Line protocol: write 'a n', read back the n-digit bitstring.
+
+    An answer must arrive within ORACLE_TIMEOUT_S seconds.  Any failure
+    kills and reaps the process before OracleError is raised.
+    """
 
     def __init__(self, command: list[str]):
         self.proc = subprocess.Popen(
-            command,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
+            command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
         )
+        self._pending = b""
 
     def approx(self, a: int, n: int) -> str:
-        if self.proc.poll() is not None:
-            raise OracleError("oracle process has exited")
-        self.proc.stdin.write(f"{a} {n}\n")
-        self.proc.stdin.flush()
-        line = self.proc.stdout.readline().strip()
-        if len(line) != n or set(line) - {"0", "1"}:
-            raise OracleError(f"bad oracle answer {line!r} for {a} {n}")
+        try:
+            if self.proc.poll() is not None:
+                raise OracleError("oracle process has exited")
+            self.proc.stdin.write(f"{a} {n}\n".encode())
+            self.proc.stdin.flush()
+            line = self._read_line()
+            if len(line) != n or set(line) - {"0", "1"}:
+                raise OracleError(f"bad oracle answer {line!r} for {a} {n}")
+        except OSError as exc:
+            self._kill()
+            raise OracleError(f"oracle pipe failed: {exc}") from exc
+        except OracleError:
+            self._kill()
+            raise
         return line
 
+    def _read_line(self) -> str:
+        """The next answer line, read straight off the pipe so that a
+        silent or half-written answer cannot block past the timeout."""
+        deadline = time.monotonic() + ORACLE_TIMEOUT_S
+        out = self.proc.stdout.fileno()
+        while b"\n" not in self._pending:
+            left = deadline - time.monotonic()
+            if left <= 0 or not select.select([out], [], [], left)[0]:
+                raise OracleError(f"no oracle answer within {ORACLE_TIMEOUT_S} s")
+            chunk = os.read(out, 4096)
+            if not chunk:
+                raise OracleError("oracle process closed its output")
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return line.decode(errors="replace").strip()
+
+    def _kill(self):
+        self.proc.kill()
+        self.close()
+
     def close(self):
-        if self.proc.poll() is None:
+        """Send end of input, wait for the process to exit (killing it
+        after ORACLE_TIMEOUT_S), and close both pipes."""
+        try:
             self.proc.stdin.close()
-            self.proc.wait(timeout=10)
+        except BrokenPipeError:  # a query the process never read
+            pass
+        try:
+            self.proc.wait(timeout=ORACLE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
 
     def __enter__(self):
         return self

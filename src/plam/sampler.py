@@ -1,9 +1,16 @@
 """Monte Carlo runs of single reduction paths.
 
 Differential testing backend for the exact engines: one coin flip per
-fired choice, heads (bit 1) taking the left successor.  Aggregation is
-by exact integer counts so results are independent of sample order, and
-the seed plus generator name are recorded for replay.
+fired choice, heads (bit 1) taking the left branch.  A run walks an
+environment machine instead of the small-step rules of `reduction`: a
+CEK machine for call-by-value (Felleisen & Friedman, "Control
+operators, the SECD-machine, and the lambda-calculus", 1986) and a
+Krivine machine for call-by-name (Krivine, "A call-by-name
+lambda-calculus machine", HOSC 2007).  Each beta and each fired choice
+counts one step, in the order the small-step strategy fires them, so
+step counts and coin sequences are those of the small-step path.
+Aggregation is by exact integer counts so results are independent of
+sample order, and the seed plus generator name are recorded for replay.
 """
 
 from __future__ import annotations
@@ -14,9 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dist import sorted_by_term
-from .reduction import step
 from .smallstep import OpenTermError
-from .syntax import Term, is_value, print_term
+from .syntax import Abs, App, Choice, Term, Var, print_term
 
 RNG_ALGORITHM = "python-random-mersenne-twister"
 
@@ -31,20 +37,136 @@ class SampleOutcome:
         return self.result is None
 
 
+# A closure is a (term, env) pair whose env maps every free name of the
+# term to a closed closure.  Frames of the CEK continuation stack are
+# (tag, term or value, env) triples.
+_ARG, _FUN, _RIGHT, _FLIP = range(4)
+
+
+def _run_cbv(t: Term, max_steps: int, rng):
+    """CEK machine: the function, then the argument, then beta; the left
+    branch, then the right one, then the coin.  Returns the final value
+    closure and its step count, or None once step max_steps + 1 fires."""
+    steps = 0
+    stack = []
+    term, env = t, {}
+    while True:
+        kind = type(term)
+        if kind is App:
+            stack.append((_ARG, term.arg, env))
+            term = term.fun
+            continue
+        if kind is Choice:
+            stack.append((_RIGHT, term.right, env))
+            term = term.left
+            continue
+        value = env[term.name] if kind is Var else (term, env)
+        while True:
+            if not stack:
+                return value, steps
+            tag, a, b = stack.pop()
+            if tag == _ARG:
+                stack.append((_FUN, value, None))
+                term, env = a, b
+                break
+            if tag == _RIGHT:
+                stack.append((_FLIP, value, None))
+                term, env = a, b
+                break
+            steps += 1
+            if tag == _FUN:
+                if steps > max_steps:
+                    return None
+                fun, fun_env = a
+                term, env = fun.body, {**fun_env, fun.binder: value}
+                break
+            # _FLIP: the step past the budget still tosses its coin, as
+            # the small-step path takes that step before it stops
+            if rng.getrandbits(1):
+                value = a
+            if steps > max_steps:
+                return None
+
+
+def _run_cbn(t: Term, max_steps: int, rng):
+    """Krivine machine: arguments wait on the stack as unevaluated
+    closures, and a choice tosses its coin as soon as it is the head.
+    Returns like _run_cbv, and the step past the budget tosses too."""
+    steps = 0
+    stack = []
+    term, env = t, {}
+    while True:
+        kind = type(term)
+        if kind is App:
+            # a variable argument passes its own closure on, so lookups
+            # never chain through closures that only rename
+            arg = term.arg
+            stack.append(env[arg.name] if type(arg) is Var else (arg, env))
+            term = term.fun
+        elif kind is Var:
+            term, env = env[term.name]
+        elif kind is Choice:
+            steps += 1
+            term = term.left if rng.getrandbits(1) else term.right
+            if steps > max_steps:
+                return None
+        elif stack:
+            steps += 1
+            if steps > max_steps:
+                return None
+            env = {**env, term.binder: stack.pop()}
+            term = term.body
+        else:
+            return (term, env), steps
+
+
+def _read_back(closure, memo: dict) -> Term:
+    """The closed term a closure stands for; memo maps closure ids to
+    terms read back already, so shared closures stay shared."""
+    key = id(closure)
+    if key not in memo:
+        memo[key] = _close(*closure, memo)
+    return memo[key]
+
+
+def _close(t: Term, env: dict, memo: dict) -> Term:
+    """t with each free name replaced by the term of its closure.  Those
+    terms are closed, so no binder of t needs renaming."""
+    if t.free_names.isdisjoint(env):
+        return t
+    match t:
+        case Var(name):
+            return _read_back(env[name], memo)
+        case Abs(binder, body):
+            if binder in env:
+                env = {k: v for k, v in env.items() if k != binder}
+            return Abs(binder, _close(body, env, memo))
+        case App(fun, arg):
+            return App(_close(fun, env, memo), _close(arg, env, memo))
+        case Choice(left, right):
+            return Choice(_close(left, env, memo), _close(right, env, memo))
+    raise TypeError(f"not a term: {t!r}")
+
+
+_MACHINES = {"cbv": _run_cbv, "cbn": _run_cbn}
+
+
 def sample_run(t: Term, strategy: str, max_steps: int, rng: random.Random) -> SampleOutcome:
-    """Follow one reduction path, flipping rng for every fired choice."""
+    """Follow one reduction path, flipping rng for every fired choice.
+
+    Raises ValueError for an unknown strategy or a negative budget."""
+    run = _MACHINES.get(strategy)
+    if run is None:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if max_steps < 0:
+        raise ValueError(f"negative step budget {max_steps}")
     if t.free_names:
         raise OpenTermError(t)
-    current = t
-    for used in range(max_steps + 1):
-        if is_value(current):
-            return SampleOutcome(current, used)
-        succs = step(current, strategy)
-        if len(succs) == 2:
-            current = succs[0] if rng.getrandbits(1) else succs[1]
-        else:
-            current = succs[0]
-    return SampleOutcome(None, max_steps)
+    final = run(t, max_steps, rng)
+    if final is None:
+        return SampleOutcome(None, max_steps)
+    closure, steps = final
+    return SampleOutcome(_read_back(closure, {}), steps)
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Seeded random generators shared across the test suite.
+"""Seeded random generators shared across the test suite, and the
+small-step walker the sampler's machines are checked against.
 
 Everything takes an explicit random.Random so each suite pins its own
 seed and stays reproducible run to run.
@@ -10,7 +11,8 @@ import random
 
 from plam.encodings import leaf, node
 from plam.reduction import step
-from plam.syntax import Abs, App, Choice, Term, Var
+from plam.sampler import SampleOutcome
+from plam.syntax import Abs, App, Choice, Term, Var, is_value
 
 
 def random_term(rng: random.Random, max_size: int = 40) -> Term:
@@ -74,3 +76,19 @@ def deterministic_steps_to(
             return None
         current = succs[0]
     return None
+
+
+def reference_sample_run(t: Term, strategy: str, max_steps: int, rng) -> SampleOutcome:
+    """One sampled path by the small-step rules: re-step from the root,
+    flipping rng for every fired choice, bit 1 taking the left successor.
+    The step past the budget is still taken, coin included."""
+    current = t
+    for used in range(max_steps + 1):
+        if is_value(current):
+            return SampleOutcome(current, used)
+        succs = step(current, strategy)
+        if len(succs) == 2:
+            current = succs[0] if rng.getrandbits(1) else succs[1]
+        else:
+            current = succs[0]
+    return SampleOutcome(None, max_steps)

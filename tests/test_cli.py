@@ -219,6 +219,21 @@ def test_sample_json_is_reproducible(capsys):
     assert out2 == out
 
 
+def test_sample_rejects_a_negative_step_budget(capsys):
+    argv = ["sample", "TT (+) FF", "--max-steps", "-1", "--samples", "5"]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_sample_rejects_an_unknown_strategy(capsys):
+    code, out, err = run(capsys, ["sample", "TT", "--strategy", "cbneed"])
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error:")
+
+
 # ---------- encode ----------
 
 

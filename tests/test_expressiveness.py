@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from plam.encodings import (
     pd,
 )
 from plam.expressiveness import (
+    ORACLE_TIMEOUT_S,
     FractionOracle,
     OracleError,
     SubprocessOracle,
@@ -184,3 +186,21 @@ def test_subprocess_oracle_detects_a_dead_peer():
     with pytest.raises(OracleError):
         with SubprocessOracle([sys.executable, "-c", "pass"]) as oracle:
             oracle.approx(0, 5)
+
+
+def test_subprocess_oracle_gives_up_on_a_silent_peer():
+    silent = [sys.executable, "-c", "import time; time.sleep(60)"]
+    started = time.monotonic()
+    with pytest.raises(OracleError, match="no oracle answer"):
+        with SubprocessOracle(silent) as oracle:
+            oracle.approx(0, 5)
+    assert time.monotonic() - started < ORACLE_TIMEOUT_S + 5
+    assert oracle.proc.returncode is not None  # killed and reaped
+
+
+def test_subprocess_oracle_reaps_a_peer_that_answered_badly():
+    bad = "import sys, time\nsys.stdin.readline(); print('xx', flush=True); time.sleep(60)\n"
+    with pytest.raises(OracleError, match="bad oracle answer"):
+        with SubprocessOracle([sys.executable, "-c", bad]) as oracle:
+            oracle.approx(0, 5)
+    assert oracle.proc.returncode is not None

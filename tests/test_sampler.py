@@ -1,15 +1,19 @@
 """Monte Carlo runs over single reduction paths."""
 
+import random
 from fractions import Fraction
+from importlib import resources
+from itertools import product
 
 import pytest
 
-from plam.dist import HALF
-from plam.encodings import FF, TT
-from plam.reduction import CBN, CBV
+from helpers import random_term, reference_sample_run
+from plam.checks import load_corpus
+from plam.encodings import FF, GEO, TT, decode_nat
+from plam.reduction import CBN, CBV, STRATEGIES
 from plam.sampler import RNG_ALGORITHM, estimate, sample_run
 from plam.smallstep import OpenTermError
-from plam.syntax import Choice, Var, parse
+from plam.syntax import Choice, Var, parse, print_term
 
 
 class ScriptedBits:
@@ -60,6 +64,90 @@ def test_open_terms_are_rejected():
         sample_run(Var("x"), CBV, 5, ScriptedBits([]))
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_negative_step_budgets_are_rejected(strategy):
+    with pytest.raises(ValueError):
+        sample_run(I, strategy, -1, ScriptedBits([]))
+    with pytest.raises(ValueError):
+        estimate(Choice(TT, FF), strategy, 5, -1, 0)
+
+
+def test_unknown_strategies_are_rejected():
+    with pytest.raises(ValueError):
+        sample_run(I, "cbneed", 5, ScriptedBits([]))
+    with pytest.raises(ValueError):
+        estimate(I, "cbneed", 5, 5, 0)
+
+
+# ---------- step budget and coin order ----------
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_value_reached_at_exactly_the_budget_is_returned(strategy):
+    t = parse("(\\x. x) ((\\x. x) (\\y. y))")
+    out = sample_run(t, strategy, 2, ScriptedBits([]))
+    assert out.result == I and out.steps_used == 2
+    out = sample_run(t, strategy, 1, ScriptedBits([]))
+    assert out.timed_out and out.steps_used == 1
+
+
+def test_the_step_past_the_budget_still_tosses_its_coin():
+    bits = ScriptedBits([1, 0])
+    out = sample_run(parse("(\\x. x) (TT (+) FF)"), CBV, 0, bits)
+    assert out.timed_out and out.steps_used == 0
+    assert bits.bits == [0]
+
+
+def test_cbv_flips_the_inner_left_then_inner_right_then_outer_choice():
+    t = Choice(Choice(TT, FF), Choice(FF, TT))
+    for inner_left, inner_right, outer in product((0, 1), repeat=3):
+        bits = ScriptedBits([inner_left, inner_right, outer])
+        out = sample_run(t, CBV, 10, bits)
+        left = TT if inner_left else FF
+        right = FF if inner_right else TT
+        assert out.result == (left if outer else right)
+        assert out.steps_used == 3 and bits.bits == []
+
+
+def test_cbn_flips_the_outer_choice_first_and_only_the_chosen_branch():
+    t = Choice(Choice(TT, FF), Choice(FF, TT))
+    for outer, inner in product((0, 1), repeat=2):
+        bits = ScriptedBits([outer, inner, 1])
+        out = sample_run(t, CBN, 10, bits)
+        branch = (TT, FF) if outer else (FF, TT)
+        assert out.result == branch[0 if inner else 1]
+        assert out.steps_used == 2 and bits.bits == [1]
+
+
+# ---------- the machines against the small-step rules ----------
+
+
+def _gate_terms():
+    rng = random.Random(20260822)
+    terms = [random_term(rng, 40) for _ in range(500)]
+    for name in ("golden.l", "terminating.l", "diverging.l"):
+        path = resources.files("plam").joinpath(f"data/{name}")
+        with resources.as_file(path) as p:
+            terms += [t for _, t in load_corpus(str(p))]
+    return terms + [GEO, parse("(\\x. x x x) (\\x. x x x)")]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_machines_take_the_small_step_path(strategy):
+    timeouts = 0
+    for i, t in enumerate(_gate_terms()):
+        for seed, max_steps in product((i, 7 * i + 1), (0, 3, 12, 60)):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            got = sample_run(t, strategy, max_steps, ours)
+            want = reference_sample_run(t, strategy, max_steps, theirs)
+            assert got.result == want.result, (print_term(t), seed, max_steps)
+            assert got.steps_used == want.steps_used
+            assert got.timed_out == want.timed_out
+            assert ours.getstate() == theirs.getstate()
+            timeouts += got.timed_out
+    assert timeouts > 0
+
+
 # ---------- aggregation ----------
 
 
@@ -88,6 +176,28 @@ def test_frequencies_concentrate_near_the_exact_mass():
     r = estimate(Choice(TT, FF), CBN, 10_000, 10, 1)
     assert abs(r.frequency(TT) - Fraction(1, 2)) <= Fraction(2, 100)
     assert r.frequency(TT) + r.frequency(FF) == 1
+
+
+def test_seeded_counts_are_pinned():
+    # the counts the small-step sampler gave for these seeds
+    geo = estimate(GEO, CBV, 1000, 2000, 3)
+    assert {decode_nat(v): c for v, c in geo.counts.items()} == {
+        0: 490, 1: 247, 2: 132, 3: 66, 4: 30, 5: 18, 6: 6, 7: 7, 8: 1, 10: 3
+    }
+    assert geo.timeouts == 0
+    geo = estimate(GEO, CBV, 1000, 2000, 20261019)
+    assert {decode_nat(v): c for v, c in geo.counts.items()} == {
+        0: 478, 1: 250, 2: 144, 3: 68, 4: 35, 5: 10, 6: 10, 7: 1, 9: 1, 10: 3
+    }
+    assert geo.timeouts == 0
+    nested = parse("((TT (+) FF) (+) (\\z. z (+) OMEGA)) ((\\w. w) (+) FF)")
+    r = estimate(nested, CBN, 1000, 40, 5)
+    assert {print_term(v, canonical=True): c for v, c in r.counts.items()} == {
+        "\\x0. (\\x1. x1) (+) \\x2. \\x3. x3": 220,
+        "\\x0. \\x1. x1": 140,
+        "\\x0. x0": 374,
+    }
+    assert r.timeouts == 266
 
 
 def test_estimate_rejects_empty_sample_counts():
