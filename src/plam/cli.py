@@ -288,7 +288,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ParseError, OpenTermError, ValueError) as exc:
+    except (ParseError, OpenTermError, ValueError, OSError) as exc:
+        # OSError: a corpus file that is missing or cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (FrontierCapError, expressiveness.OracleError, RecursionError) as exc:

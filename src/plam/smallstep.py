@@ -6,12 +6,20 @@ at a fired choice and merging alpha-equivalent results; terms that have
 become values move into the lower approximant.  After `fuel` rounds the
 pending mass is the residual, so lower mass + residual = 1 exactly.
 
+A run steps each distinct state (up to alpha) once: `approximate` keeps
+its reduction graph, a dict from term to successors, for the length of
+the call, so a state that recurs in a later round (every cycling
+divergent term has such states) takes its stored successors, whose keys
+and hashes are already cached, and the round only merges masses.  The
+graph lives and dies with the call; nothing of it is kept on `Bracket`.
+
 Divergence brackets come from the same run: the upper bound is 1 minus
 the converged mass, i.e. the residual; the lower bound counts frontier
 mass sitting on states whose forward closure is finite and value-free
 (every self-loop like Omega qualifies) and fits within CLOSURE_LIMIT
-states.  Terms that diverge while growing forever get lower bound 0;
-that limitation is deliberate.
+states.  One `Bracket.divergence()` call keeps a graph of its own,
+shared by the closures of all frontier states.  Terms that diverge while
+growing forever get lower bound 0; that limitation is deliberate.
 """
 
 from __future__ import annotations
@@ -75,8 +83,11 @@ class Bracket:
         certified = ZERO
         divergent: set[Term] = set()
         escaping: set[Term] = set()
+        graph: dict[Term, list[Term]] = {}
         for term, mass in self.frontier:
-            if _certified_divergent(term, self.strategy, divergent, escaping):
+            if _certified_divergent(
+                term, self.strategy, divergent, escaping, graph
+            ):
                 certified = certified + mass
         return certified, self.residual
 
@@ -92,6 +103,7 @@ def approximate(
         raise OpenTermError(t)
     lower: dict[Term, Dyadic] = {}
     frontier: dict[Term, Dyadic] = {}
+    graph: dict[Term, list[Term]] = {}
 
     def put(table, term, mass):
         prev = table.get(term)
@@ -104,7 +116,9 @@ def approximate(
             break
         fresh: dict[Term, Dyadic] = {}
         for term, mass in frontier.items():
-            succs = step(term, strategy)
+            succs = graph.get(term)
+            if succs is None:
+                succs = graph[term] = step(term, strategy)
             share = mass.half() if len(succs) == 2 else mass
             for s in succs:
                 put(lower if is_value(s) else fresh, s, share)
@@ -121,10 +135,11 @@ def approximate(
 
 
 def _certified_divergent(
-    start: Term, strategy: str, divergent: set, escaping: set
+    start: Term, strategy: str, divergent: set, escaping: set, graph: dict
 ) -> bool:
     """True when start's forward closure is finite, value-free and fully
-    explored within CLOSURE_LIMIT states."""
+    explored within CLOSURE_LIMIT states.  `graph` maps each state already
+    stepped to its successors."""
     if start in divergent:
         return True
     if start in escaping:
@@ -146,7 +161,10 @@ def _certified_divergent(
         if is_value(term) or size(term) > size_bound:
             closed = False
             break
-        for s in step(term, strategy):
+        succs = graph.get(term)
+        if succs is None:
+            succs = graph[term] = step(term, strategy)
+        for s in succs:
             if s not in seen:
                 seen.add(s)
                 queue.append(s)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import count
 
 # Reduction of translated terms stacks continuations a few thousand frames
@@ -34,6 +33,23 @@ class ParseError(ValueError):
         self.col = col
 
 
+class _cached:
+    """`functools.cached_property` without the lock Python 3.11 takes on
+    every first access.  The first access stores the value in the
+    instance `__dict__`, which then shadows this non-data descriptor;
+    two threads racing on it at worst compute the same value twice."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class Term:
     """Base class for Var, Abs, App and Choice."""
 
@@ -49,18 +65,22 @@ class Term:
     def __hash__(self):
         return self._hash
 
-    @cached_property
+    @_cached
     def _hash(self) -> int:
         return hash(self.alpha_key)
 
-    @cached_property
+    @_cached
     def alpha_key(self):
         """Nameless form: identical keys exactly for alpha-equivalent terms."""
         return _alpha_key(self)
 
-    @cached_property
+    @_cached
     def free_names(self) -> frozenset[str]:
         return _free_names(self)
+
+    @_cached
+    def _size(self) -> int:
+        return _node_count(self)
 
     def __repr__(self):
         return print_term(self)
@@ -142,13 +162,17 @@ def _free_names(t: Term) -> frozenset[str]:
 
 def size(t: Term) -> int:
     """Number of AST nodes."""
+    return t._size
+
+
+def _node_count(t: Term) -> int:
     match t:
         case Var():
             return 1
         case Abs(_, body):
-            return 1 + size(body)
+            return 1 + body._size
         case App(fun, arg) | Choice(fun, arg):
-            return 1 + size(fun) + size(arg)
+            return 1 + fun._size + arg._size
     raise TypeError(f"not a term: {t!r}")
 
 

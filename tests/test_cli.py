@@ -8,6 +8,7 @@ import pytest
 
 import plam.cli as cli
 import plam.smallstep as smallstep
+from helpers import count_steps
 from plam.bigstep import eval_big
 from plam.checks import CheckOutcome, run_duality_suite
 from plam.cli import EXIT_CHECK, EXIT_EVAL, EXIT_INVALID, EXIT_OK, main
@@ -78,23 +79,11 @@ def test_eval_text_mode_reports_mass_and_divergence(capsys):
     assert "divergence in [1/2^1, 1/2^1]" in out
 
 
-def _count_steps(monkeypatch):
-    calls = []
-    original = smallstep.step
-
-    def counted(term, strategy):
-        calls.append(strategy)
-        return original(term, strategy)
-
-    monkeypatch.setattr(smallstep, "step", counted)
-    return calls
-
-
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 def test_eval_reduces_the_term_once(capsys, monkeypatch, strategy):
     # the divergence bound reuses the bracket's run instead of a second one
     program = "(\\x. XOR x x) (TT (+) FF)"
-    calls = _count_steps(monkeypatch)
+    calls = count_steps(monkeypatch)
     smallstep.approximate(parse(program), strategy, 50)
     one_run = len(calls)
     assert one_run > 0
@@ -106,7 +95,7 @@ def test_eval_reduces_the_term_once(capsys, monkeypatch, strategy):
 
 def test_duality_suite_reduces_each_term_once_per_strategy(monkeypatch):
     program = "(\\x. XOR x x) (TT (+) FF)"
-    calls = _count_steps(monkeypatch)
+    calls = count_steps(monkeypatch)
     for strategy in STRATEGIES:
         smallstep.approximate(parse(program), strategy, 50)
     one_run_each = len(calls)

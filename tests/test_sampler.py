@@ -2,13 +2,11 @@
 
 import random
 from fractions import Fraction
-from importlib import resources
 from itertools import product
 
 import pytest
 
-from helpers import random_term, reference_sample_run
-from plam.checks import load_corpus
+from helpers import gate_terms, reference_sample_run
 from plam.encodings import FF, GEO, TT, decode_nat
 from plam.reduction import CBN, CBV, STRATEGIES
 from plam.sampler import RNG_ALGORITHM, estimate, sample_run
@@ -123,13 +121,7 @@ def test_cbn_flips_the_outer_choice_first_and_only_the_chosen_branch():
 
 
 def _gate_terms():
-    rng = random.Random(20260822)
-    terms = [random_term(rng, 40) for _ in range(500)]
-    for name in ("golden.l", "terminating.l", "diverging.l"):
-        path = resources.files("plam").joinpath(f"data/{name}")
-        with resources.as_file(path) as p:
-            terms += [t for _, t in load_corpus(str(p))]
-    return terms + [GEO, parse("(\\x. x x x) (\\x. x x x)")]
+    return gate_terms() + [GEO, parse("(\\x. x x x) (\\x. x x x)")]
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_term
+from helpers import (
+    count_steps,
+    gate_terms,
+    random_term,
+    reference_approximate,
+    reference_divergence,
+)
 from plam.dist import HALF, ONE, ZERO, Dyadic, SubDist, from_value
 from plam.encodings import OMEGA, encode_nat
 from plam.reduction import CBN, CBV, STRATEGIES
@@ -18,7 +24,7 @@ from plam.smallstep import (
     approximate,
     divergence_bracket,
 )
-from plam.syntax import Choice, Var, parse
+from plam.syntax import Choice, Var, parse, print_term
 
 I = parse("\\x. x")
 XOR_PROGRAM = parse("(\\x. XOR x x) (TT (+) FF)")
@@ -155,3 +161,65 @@ def test_divergence_bracket_is_consistent_with_the_approximant(seed, strategy):
     assert low <= up
     assert up == b.residual
     assert b.lower.mass() + low <= ONE
+
+
+# ---------- the per-run reduction graph ----------
+
+
+def _canonical(pairs):
+    return [(print_term(t, canonical=True), m) for t, m in pairs]
+
+
+def _cap_hit(run):
+    try:
+        run()
+    except FrontierCapError as exc:
+        return exc.round_no, exc.count
+    return None
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_the_graph_changes_no_result(strategy):
+    caps_hit = 0
+    for t in gate_terms():
+        for fuel in (0, 3, 12, 50):
+            got = approximate(t, strategy, fuel)
+            want = reference_approximate(t, strategy, fuel)
+            where = (print_term(t), fuel)
+            assert _canonical(got.lower.items()) == _canonical(
+                want.lower.items()
+            ), where
+            assert got.residual == want.residual, where
+            assert _canonical(got.frontier) == _canonical(want.frontier), where
+            assert got.divergence() == reference_divergence(want), where
+        hit = _cap_hit(lambda: approximate(t, strategy, 50, frontier_cap=3))
+        assert hit == _cap_hit(
+            lambda: reference_approximate(t, strategy, 50, frontier_cap=3)
+        )
+        caps_hit += hit is not None
+    assert caps_hit > 0
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_a_recurring_state_is_stepped_once(monkeypatch, strategy):
+    calls = count_steps(monkeypatch)
+    b = approximate(OMEGA, strategy, 500)
+    assert b.residual == ONE
+    assert calls == [OMEGA]
+
+
+def test_the_closures_share_one_graph(monkeypatch):
+    # W W -> W W (+) I -> {W W, I}: a two-state cycle with an exit, and
+    # both of its states sit in every frontier; each closure reaches the
+    # value, so neither is certified, and with a graph private to each
+    # closure the second would step a state the first already stepped
+    t = parse("(\\x. x x (+) \\y. y) (\\x. x x (+) \\y. y)")
+    t = Choice(t, Choice(t, I))
+    b = approximate(t, CBN, 5)
+    assert len(b.frontier) == 2
+    calls = count_steps(monkeypatch)
+    assert b.divergence() == (ZERO, b.residual)
+    assert len(calls) == 2 and calls[0] != calls[1]
+    calls.clear()
+    assert reference_divergence(b) == (ZERO, b.residual)
+    assert len(calls) == 3

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plam.syntax as syntax
 from helpers import random_open_term, random_term
 from plam.dist import ONE
 from plam.encodings import OMEGA, TT
@@ -233,6 +234,18 @@ def test_size_counts_nodes():
     assert size(Var("x")) == 1
     assert size(I) == 2
     assert size(parse("(\\x. x x) (\\x. x x)")) == 9
+
+
+def test_size_is_built_from_the_childrens_cached_sizes(monkeypatch):
+    counted = []
+    original = syntax._node_count
+    monkeypatch.setattr(
+        syntax, "_node_count", lambda t: counted.append(t) or original(t)
+    )
+    omega = parse("(\\x. x x) (\\x. x x)")
+    assert size(omega) == 9 and len(counted) == 9
+    assert size(omega) == 9 and len(counted) == 9
+    assert size(App(omega, omega)) == 19 and len(counted) == 10
 
 
 # ---------- substitution ----------
