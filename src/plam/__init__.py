@@ -13,7 +13,6 @@ from .reduction import CBN, CBV, step, step_cbn, step_cbv
 from .smallstep import (
     Bracket,
     FrontierCapError,
-    OpenTermError,
     approximate,
     divergence_bracket,
 )
@@ -21,6 +20,7 @@ from .syntax import (
     Abs,
     App,
     Choice,
+    OpenTermError,
     ParseError,
     Term,
     Var,

@@ -17,16 +17,12 @@ any result because evaluation is pure.
 from __future__ import annotations
 
 from .dist import HALF, SubDist, combine, from_value
-from .reduction import CBN, CBV
-from .smallstep import OpenTermError
+from .reduction import CBV, check_input
 from .syntax import Abs, App, Choice, Term, is_value, substitute
 
 
 def eval_big(t: Term, strategy: str, fuel: int) -> SubDist:
-    if strategy not in (CBV, CBN):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if t.free_names:
-        raise OpenTermError(t)
+    check_input(t, strategy, fuel)
     memo: dict[tuple[Term, int], SubDist] = {}
 
     def go(t: Term, fuel: int) -> SubDist:

@@ -18,11 +18,10 @@ from .reduction import CBN, CBV
 from .smallstep import (
     DEFAULT_FRONTIER_CAP,
     FrontierCapError,
-    OpenTermError,
     approximate,
     divergence_bracket,
 )
-from .syntax import ParseError, parse, print_term
+from .syntax import App, OpenTermError, ParseError, parse, print_term
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -167,8 +166,6 @@ def _cmd_cps(args) -> int:
     translate = cps.cps_v_to_n if args.direction == "v2n" else cps.cps_n_to_v
     result = translate(term)
     if args.apply_id:
-        from .syntax import App
-
         result = App(result, cps.IDENTITY)
     print(print_term(result))
     return EXIT_OK
@@ -244,19 +241,16 @@ def _cmd_check(args) -> int:
             resources.files("plam").joinpath("data/golden.l")
         ) as path:
             corpus = checks.load_corpus(str(path))
+    # the suites own their default fuels
     kwargs = {"frontier_cap": args.frontier_cap}
-    if args.suite == "duality":
-        outcomes = checks.run_duality_suite(
-            corpus, fuel=args.fuel or 50, **kwargs
-        )
-    elif args.suite == "bigsmall":
-        outcomes = checks.run_bigsmall_suite(
-            corpus, fuel=args.fuel or 50, **kwargs
-        )
-    else:
-        outcomes = checks.run_simulation_suite(
-            corpus, fuel=args.fuel or 500, **kwargs
-        )
+    if args.fuel is not None:
+        kwargs["fuel"] = args.fuel
+    suite = {
+        "duality": checks.run_duality_suite,
+        "bigsmall": checks.run_bigsmall_suite,
+        "simulation": checks.run_simulation_suite,
+    }[args.suite]
+    outcomes = suite(corpus, **kwargs)
     failed = 0
     for outcome in outcomes:
         line = f"{outcome.status}  {outcome.term_text}"

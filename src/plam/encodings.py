@@ -1,8 +1,11 @@
 """Closed terms for programming in the calculus.
 
-Booleans, exclusive-or, Scott numerals, binary strings, pairs, the
-looping term OMEGA, the call-by-value fixed-point term H, the finite
-dyadic tree runner MFDT, and the geometric generator GEO.  Also the
+The parser's reserved constants, taken from `syntax` where they are
+written in concrete syntax: booleans TT and FF, exclusive-or XOR, the
+self-application DELTA and the looping term OMEGA, the call-by-value
+fixed-point term H, the finite dyadic tree runner MFDT, the successor
+SUCC, the geometric generator GEO, and PAIR.  Also Scott numerals
+(`encode_nat` is the parser's `NAT n`), binary strings, pairs, and the
 finite dyadic tree helpers: such a tree is either a leaf \\x.\\y. x <n>
 holding a numeral or a node \\x.\\y. y M N over two subtrees, and pd
 gives the distribution it denotes (half the left pd plus half the
@@ -15,94 +18,42 @@ from typing import Mapping
 
 from .dist import Dyadic, HALF, ONE, SubDist, combine, from_value
 from .reduction import CBV
-from .syntax import Abs, App, Choice, Term, Var, fresh_name, is_value
-
-TT = Abs("x", Abs("y", Var("x")))
-FF = Abs("x", Abs("y", Var("y")))
-
-# parity: XOR b c reduces to TT exactly when b and c differ
-XOR = Abs(
-    "x",
-    Abs(
-        "y",
-        App(
-            App(
-                App(Var("x"), Abs("z", App(App(Var("z"), FF), TT))),
-                Abs("z", App(App(Var("z"), TT), FF)),
-            ),
-            Var("y"),
-        ),
-    ),
+from .smallstep import approximate
+from .syntax import (
+    Abs,
+    App,
+    Choice,
+    Term,
+    Var,
+    encode_nat,
+    fresh_name,
+    is_value,
+    parse,
 )
 
-DELTA = Abs("x", App(Var("x"), Var("x")))
-OMEGA = App(DELTA, DELTA)
-
-# H W-combinator: H V rewrites in two steps to V (\z. H V z), handing V an
-# eta-guarded copy of the recursive call
-_W = Abs(
-    "x",
-    Abs(
-        "y",
-        App(
-            Var("y"),
-            Abs("z", App(App(App(Var("x"), Var("x")), Var("y")), Var("z"))),
-        ),
-    ),
-)
-H = App(_W, _W)
-
-# tree runner: ask the tree whether it is a leaf (return the numeral) or a
-# node (recurse on a fair choice of the two subtrees)
-_V_FDT = Abs(
-    "x",
-    Abs(
-        "y",
-        App(
-            App(Var("y"), Abs("z", Var("z"))),
-            Abs(
-                "z",
-                Abs(
-                    "w",
-                    Choice(
-                        App(Var("x"), Var("z")), App(Var("x"), Var("w"))
-                    ),
-                ),
-            ),
-        ),
-    ),
-)
-MFDT = App(H, _V_FDT)
-
-SUCC = Abs("n", Abs("x", Abs("y", App(Var("y"), Var("n")))))
-
-PAIR = Abs("a", Abs("b", Abs("x", App(App(Var("x"), Var("a")), Var("b")))))
-
-
-def encode_nat(n: int) -> Term:
-    """Scott numeral: 0 is \\x.\\y. x, n+1 is \\x.\\y. y <n>."""
-    if n < 0:
-        raise ValueError(f"not a natural number: {n}")
-    t = TT
-    for _ in range(n):
-        t = Abs("x", Abs("y", App(Var("y"), t)))
-    return t
+TT = parse("TT")
+FF = parse("FF")
+XOR = parse("XOR")
+DELTA = parse("DELTA")
+OMEGA = parse("OMEGA")
+H = parse("H")
+MFDT = parse("MFDT")
+SUCC = parse("SUCC")
+GEO = parse("GEO")
+PAIR = parse("PAIR")
 
 
 def decode_nat(t: Term) -> int | None:
     """Inverse of encode_nat up to alpha; None for non-numerals."""
-
-    def go(key) -> int | None:
-        # keys: 0 is \x.\y.x, n+1 is \x.\y. y <n> with <n> closed
-        match key:
-            case ("l", ("l", ("b", 1))):
-                return 0
-            case ("l", ("l", ("a", ("b", 0), inner))):
-                rest = go(inner)
-                return None if rest is None else rest + 1
-        return None
-
-    return go(t.alpha_key)
+    n = 0
+    while True:
+        match t:
+            case Abs(x, Abs(y, Var(h))) if h == x != y:
+                return n
+            case Abs(_, Abs(y, App(Var(h), inner))) if h == y:
+                t, n = inner, n + 1
+            case _:
+                return None
 
 
 def encode_bits(bits: str) -> Term:
@@ -137,39 +88,6 @@ def standard_choice(m: Term, n: Term) -> Term:
         App(App(Choice(TT, FF), Abs(z, m)), Abs(z, n)),
         Abs(w, Var(w)),
     )
-
-
-# geometric generator: flip a coin at numeral n, either return n or move
-# on to n+1; recursive call sits behind a thunk so call-by-value does not
-# chase it before the coin is tossed
-_V_GEO = Abs(
-    "r",
-    Abs(
-        "n",
-        App(
-            App(
-                App(Choice(TT, FF), Abs("z", Var("n"))),
-                Abs("z", App(Var("r"), App(SUCC, Var("n")))),
-            ),
-            Abs("w", Var("w")),
-        ),
-    ),
-)
-GEO = App(App(H, _V_GEO), encode_nat(0))
-
-
-def constants() -> dict[str, Term]:
-    """Named closed terms the parser expands (NAT takes its own number)."""
-    return {
-        "TT": TT,
-        "FF": FF,
-        "XOR": XOR,
-        "OMEGA": OMEGA,
-        "H": H,
-        "MFDT": MFDT,
-        "GEO": GEO,
-        "PAIR": PAIR,
-    }
 
 
 # ---------- finite dyadic trees ----------
@@ -264,8 +182,6 @@ def fdt_from_dist(d: Mapping[int, Dyadic]) -> Term:
 
 def run_mfdt(t: Term, fuel: int):
     """Evaluate MFDT applied to a tree, call-by-value."""
-    from . import smallstep
-
     if fdt_shape(t) is None:
         raise FdtError(f"not a finite dyadic tree: {t}")
-    return smallstep.approximate(App(MFDT, t), CBV, fuel)
+    return approximate(App(MFDT, t), CBV, fuel)

@@ -33,6 +33,10 @@ ORACLE_TIMEOUT_S = 5.0
 # fuels soundness_approx tries in turn before giving up
 SOUNDNESS_FUEL_SCHEDULE = (16, 32, 64, 128, 256, 512, 1024)
 
+# rounds split queries before giving up, and extra digits of precision a
+# remainder oracle reads before giving up
+QUERY_BUDGET = 64
+
 
 class OracleError(RuntimeError):
     pass
@@ -169,7 +173,7 @@ def soundness_approx(t: Term, a: int, n: int) -> str | None:
     return None
 
 
-def split(oracle: DistOracle, budget: int = 64) -> tuple[Term, DistOracle]:
+def split(oracle: DistOracle) -> tuple[Term, DistOracle]:
     """Peel off half the oracle's mass as a finite dyadic tree.
 
     Queries outcomes in dovetail order until the certified lower bounds
@@ -178,7 +182,7 @@ def split(oracle: DistOracle, budget: int = 64) -> tuple[Term, DistOracle]:
     The identity D = 1/2 pd(tree) + 1/2 remainder holds exactly.
     """
     bounds: dict[int, Dyadic] = {}
-    for r in range(1, budget + 1):
+    for r in range(1, QUERY_BUDGET + 1):
         total = ZERO
         for a in range(r):
             bounds[a] = oracle.lower_bound(a, r)
@@ -187,7 +191,7 @@ def split(oracle: DistOracle, budget: int = 64) -> tuple[Term, DistOracle]:
             break
     else:
         raise OracleError(
-            f"split budget of {budget} rounds exhausted before half the "
+            f"split budget of {QUERY_BUDGET} rounds exhausted before half the "
             "mass was certified"
         )
 
@@ -203,7 +207,7 @@ def split(oracle: DistOracle, budget: int = 64) -> tuple[Term, DistOracle]:
         if take:
             peeled[a] = take
             allocated = allocated + take
-    return fdt_from_dist(peeled), _RemainderOracle(oracle, peeled, budget)
+    return fdt_from_dist(peeled), _RemainderOracle(oracle, peeled)
 
 
 class _RemainderOracle(DistOracle):
@@ -214,17 +218,16 @@ class _RemainderOracle(DistOracle):
     first n digits are the same across the whole interval.
     """
 
-    def __init__(self, base: DistOracle, peeled: Mapping[int, Dyadic], budget: int):
+    def __init__(self, base: DistOracle, peeled: Mapping[int, Dyadic]):
         self.base = base
         self.peeled = dict(peeled)
-        self.budget = budget
 
     def approx(self, a: int, n: int) -> str:
         if n == 0:
             return ""
         e = self.peeled.get(a, ZERO).as_fraction()
         boundary = 1 - Fraction(1, 2**n)
-        for m in range(n + 2, n + 2 + self.budget):
+        for m in range(n + 2, n + 2 + QUERY_BUDGET):
             t = self.base.lower_bound(a, m).as_fraction()
             lo = max(Fraction(0), 2 * t - e)
             hi = min(Fraction(1), 2 * t + Fraction(1, 2 ** (m - 1)) - e)
@@ -238,9 +241,7 @@ class _RemainderOracle(DistOracle):
         )
 
 
-def completeness_approx(
-    oracle: DistOracle, rounds: int, budget: int = 64
-) -> tuple[Term, Dyadic]:
+def completeness_approx(oracle: DistOracle, rounds: int) -> tuple[Term, Dyadic]:
     """Term whose call-by-value run lies pointwise below the oracle's
     distribution with total mass at least 1 - 2^-rounds (the returned
     guarantee).
@@ -251,7 +252,7 @@ def completeness_approx(
     trees: list[Term] = []
     current = oracle
     for _ in range(rounds):
-        tree, current = split(current, budget)
+        tree, current = split(current)
         trees.append(tree)
     term: Term = OMEGA
     for tree in reversed(trees):

@@ -8,7 +8,7 @@ or any choice fires (call-by-name).  Values get None.
 
 from __future__ import annotations
 
-from .syntax import Abs, App, Choice, Term, Var, is_value, substitute
+from .syntax import Abs, App, Choice, OpenTermError, Term, Var, is_value, substitute
 
 CBV = "cbv"
 CBN = "cbn"
@@ -65,3 +65,14 @@ def step(t: Term, strategy: str) -> list[Term] | None:
     if strategy == CBN:
         return step_cbn(t)
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def check_input(t: Term, strategy: str, fuel: int) -> None:
+    """The exact engines' input contract, checked before any work: a
+    known strategy, nonnegative fuel and a closed term."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if fuel < 0:
+        raise ValueError(f"negative fuel {fuel}")
+    if t.free_names:
+        raise OpenTermError(t)

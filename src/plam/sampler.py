@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dist import sorted_by_term
-from .smallstep import OpenTermError
-from .syntax import Abs, App, Choice, Term, Var, print_term
+from .syntax import Abs, App, Choice, OpenTermError, Term, Var, print_term
 
 RNG_ALGORITHM = "python-random-mersenne-twister"
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dist import Dyadic, ONE, SubDist, ZERO
-from .reduction import step
+from .reduction import check_input, step
+from .syntax import OpenTermError  # re-exported: callers import it from here
 from .syntax import Term, is_value, size
 
 DEFAULT_FRONTIER_CAP = 100_000
@@ -44,12 +45,6 @@ class FrontierCapError(RuntimeError):
         self.cap = cap
         self.round_no = round_no
         self.count = count
-
-
-class OpenTermError(ValueError):
-    def __init__(self, t: Term):
-        names = ", ".join(sorted(t.free_names))
-        super().__init__(f"term has free variables: {names}")
 
 
 @dataclass(frozen=True)
@@ -82,12 +77,9 @@ class Bracket:
         """
         certified = ZERO
         divergent: set[Term] = set()
-        escaping: set[Term] = set()
         graph: dict[Term, list[Term]] = {}
         for term, mass in self.frontier:
-            if _certified_divergent(
-                term, self.strategy, divergent, escaping, graph
-            ):
+            if _certified_divergent(term, self.strategy, divergent, graph):
                 certified = certified + mass
         return certified, self.residual
 
@@ -99,8 +91,7 @@ def approximate(
     frontier_cap: int = DEFAULT_FRONTIER_CAP,
 ) -> Bracket:
     """Exact lower approximant and residual after `fuel` rounds."""
-    if t.free_names:
-        raise OpenTermError(t)
+    check_input(t, strategy, fuel)
     lower: dict[Term, Dyadic] = {}
     frontier: dict[Term, Dyadic] = {}
     graph: dict[Term, list[Term]] = {}
@@ -135,15 +126,12 @@ def approximate(
 
 
 def _certified_divergent(
-    start: Term, strategy: str, divergent: set, escaping: set, graph: dict
+    start: Term, strategy: str, divergent: set, graph: dict
 ) -> bool:
     """True when start's forward closure is finite, value-free and fully
-    explored within CLOSURE_LIMIT states.  `graph` maps each state already
-    stepped to its successors."""
-    if start in divergent:
-        return True
-    if start in escaping:
-        return False
+    explored within CLOSURE_LIMIT states.  States in `divergent` are
+    already certified and are not explored again; `graph` maps each
+    state already stepped to its successors."""
     # states in a finite closure cycle, so their sizes stay bounded; a
     # successor far larger than the start is evidence of unbounded growth
     # and is treated as a budget miss rather than chased further
@@ -173,7 +161,6 @@ def _certified_divergent(
         return True
     # a value was reachable (or the budget ran out): refuse to certify this
     # start state, but say nothing about the other states visited
-    escaping.add(start)
     return False
 
 

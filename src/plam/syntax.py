@@ -1,15 +1,18 @@
 """Terms of the untyped lambda calculus with binary fair choice.
 
 Equality and hashing on terms are up to renaming of bound variables, so
-terms can be used directly as keys of distributions.  The concrete syntax
-is
+terms can be used directly as keys of distributions; the nameless key
+that decides it is private to this module.  The concrete syntax is
 
     term := '\\' ident '.' term | app
     app  := atom+
-    atom := ident | '(' term ')' | atom '(+)' atom
+    atom := ident | 'NAT' number | '(' term ')' | atom '(+)' atom
 
 with application binding tighter than '(+)', '(+)' associating to the
 left, and '--' starting a comment that runs to the end of the line.
+The reserved constants (TT, FF, XOR, DELTA, OMEGA, H, MFDT, SUCC, GEO,
+PAIR) are written in this syntax in `_CONSTANT_TEXTS` and parsed once at
+import; `NAT n` is the Scott numeral n.
 """
 
 from __future__ import annotations
@@ -31,6 +34,12 @@ class ParseError(ValueError):
         self.pos = pos
         self.line = line
         self.col = col
+
+
+class OpenTermError(ValueError):
+    def __init__(self, t: Term):
+        names = ", ".join(sorted(t.free_names))
+        super().__init__(f"term has free variables: {names}")
 
 
 class _cached:
@@ -278,8 +287,32 @@ def print_term(t: Term, canonical: bool = False) -> str:
 
 # ---------- parsing ----------
 
-# Named constants the parser expands (NAT additionally takes a number).
-RESERVED = ("OMEGA", "TT", "FF", "XOR", "H", "MFDT", "GEO", "PAIR", "NAT")
+# The reserved constants in concrete syntax.  Each text may use the
+# constants above it, and shares their objects once parsed.
+_CONSTANT_TEXTS = {
+    "TT": r"\x. \y. x",
+    "FF": r"\x. \y. y",
+    # parity: XOR b c reduces to TT exactly when b and c differ
+    "XOR": r"\x. \y. x (\z. z FF TT) (\z. z TT FF) y",
+    "DELTA": r"\x. x x",
+    "OMEGA": "DELTA DELTA",
+    # H V rewrites in two steps to V (\z. H V z), handing V an
+    # eta-guarded copy of the recursive call
+    "H": r"(\x. \y. y (\z. x x y z)) (\x. \y. y (\z. x x y z))",
+    # tree runner: ask the tree whether it is a leaf (return the numeral)
+    # or a node (recurse on a fair choice of the two subtrees)
+    "MFDT": r"H (\x. \y. y (\z. z) (\z. \w. x z (+) x w))",
+    "SUCC": r"\n. \x. \y. y n",
+    # geometric generator: flip a coin at numeral n, either return n or
+    # move on to n+1; the recursive call sits behind a thunk so
+    # call-by-value does not chase it before the coin is tossed
+    "GEO": r"H (\r. \n. (TT (+) FF) (\z. n) (\z. r (SUCC n)) (\w. w)) (NAT 0)",
+    "PAIR": r"\a. \b. \x. x a b",
+}
+# NAT additionally takes a number
+RESERVED = (*_CONSTANT_TEXTS, "NAT")
+# the parsed constants, filled in table order at the end of this module
+_CONSTANTS: dict[str, Term] = {}
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789'")
@@ -398,14 +431,9 @@ class _Parser:
         tok = self.take()
         if tok[0] == "IDENT":
             if tok[1] == "NAT":
-                num = self.expect("NUMBER")
-                from . import encodings
-
-                return encodings.encode_nat(int(num[1]))
+                return encode_nat(int(self.expect("NUMBER")[1]))
             if tok[1] in RESERVED:
-                from . import encodings
-
-                return encodings.constants()[tok[1]]
+                return _CONSTANTS[tok[1]]
             return Var(tok[1])
         if tok[0] == "LPAREN":
             t = self.term()
@@ -423,3 +451,18 @@ def parse(text: str) -> Term:
     t = p.term()
     p.expect("EOF")
     return t
+
+
+def encode_nat(n: int) -> Term:
+    """Scott numeral: 0 is \\x.\\y. x, n+1 is \\x.\\y. y <n>."""
+    if n < 0:
+        raise ValueError(f"not a natural number: {n}")
+    t = _CONSTANTS["TT"]
+    for _ in range(n):
+        t = Abs("x", Abs("y", App(Var("y"), t)))
+    return t
+
+
+for _name, _text in _CONSTANT_TEXTS.items():
+    _CONSTANTS[_name] = parse(_text)
+del _name, _text

@@ -164,10 +164,7 @@ def reference_divergence(b: Bracket) -> tuple[Dyadic, Dyadic]:
     ever looked up, and every closure steps its states afresh."""
     certified = ZERO
     divergent: set[Term] = set()
-    escaping: set[Term] = set()
     for term, mass in b.frontier:
-        if smallstep._certified_divergent(
-            term, b.strategy, divergent, escaping, {}
-        ):
+        if smallstep._certified_divergent(term, b.strategy, divergent, {}):
             certified = certified + mass
     return certified, b.residual

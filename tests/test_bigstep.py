@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,13 @@ from plam.syntax import App, Choice, parse
 
 I = parse("\\x. x")
 XOR_PROGRAM = parse("(\\x. XOR x x) (TT (+) FF)")
+
+
+@pytest.mark.parametrize("strategy, fuel", [("lazy", 5), (CBV, -3), (CBN, -1)])
+def test_bad_input_is_rejected(strategy, fuel):
+    for t in (parse("\\x. x"), OMEGA):
+        with pytest.raises(ValueError, match="unknown strategy|negative fuel"):
+            eval_big(t, strategy, fuel)
 
 
 def test_values_evaluate_to_themselves_with_no_fuel():

@@ -105,6 +105,21 @@ def test_duality_suite_reduces_each_term_once_per_strategy(monkeypatch):
     assert len(calls) == one_run_each
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "OMEGA", "--engine", "big", "--fuel", "-3"],
+        ["eval", "OMEGA", "--fuel", "-5"],
+        ["eval", "\\x. x", "--fuel", "-5", "--json"],
+        ["diverge", "OMEGA", "--fuel", "-1"],
+    ],
+)
+def test_negative_fuel_exits_one(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("error: negative fuel")
+
+
 def test_eval_frontier_cap_exhaustion_exits_two(capsys):
     code, _, err = run(capsys, ["eval", "OMEGA", "--frontier-cap", "0"])
     assert code == EXIT_EVAL
@@ -292,6 +307,24 @@ def test_check_unparseable_corpus_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, ["check", "duality", "--corpus", str(corpus)])
     assert code == EXIT_INVALID
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("suite", ["duality", "bigsmall", "simulation"])
+@pytest.mark.parametrize("fuel", ["0", "7", None])
+def test_check_passes_fuel_only_when_given(capsys, monkeypatch, suite, fuel):
+    seen = []
+    monkeypatch.setattr(
+        cli.checks,
+        f"run_{suite}_suite",
+        lambda corpus, **kwargs: seen.append(kwargs) or [],
+    )
+    argv = ["check", suite] + (["--fuel", fuel] if fuel is not None else [])
+    code, _, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    want = {"frontier_cap": smallstep.DEFAULT_FRONTIER_CAP}
+    if fuel is not None:
+        want["fuel"] = int(fuel)
+    assert seen == [want]
 
 
 def test_check_failures_exit_three(capsys, tmp_path, monkeypatch):

@@ -16,7 +16,6 @@ from plam.encodings import (
     TT,
     XOR,
     FdtError,
-    constants,
     decode_nat,
     encode_bits,
     encode_nat,
@@ -32,7 +31,8 @@ from plam.encodings import (
 )
 from plam.reduction import CBN, CBV, step
 from plam.smallstep import approximate, divergence_bracket
-from plam.syntax import Abs, App, Var, is_value, parse, print_term
+from plam import encodings
+from plam.syntax import RESERVED, Abs, App, Var, is_value, parse, print_term
 
 
 # ---------- booleans ----------
@@ -69,6 +69,37 @@ def test_decode_rejects_non_numerals():
     assert decode_nat(parse("\\x. x")) is None
     assert decode_nat(Var("n")) is None
     assert decode_nat(parse("\\x. \\y. y (\\z. z)")) is None
+
+
+def test_decode_reads_binders_not_names():
+    assert decode_nat(parse("\\x. \\x. x")) is None
+    assert decode_nat(parse("\\y. \\y. y (NAT 3)")) == 4
+    assert decode_nat(parse("\\y. \\x. x (\\a. \\b. a)")) == 1
+    # the inner numeral must be closed
+    assert decode_nat(parse("\\x. \\y. y (\\a. \\b. x)")) is None
+
+
+def _numeral_look_alike(rng: random.Random, depth: int):
+    """A numeral's shape of the given depth with binders drawn from three
+    names, so shadowing is common, and heads drawn from the two binders."""
+    names = "xyz"
+    x, y = rng.choice(names), rng.choice(names)
+    if depth == 0:
+        return Abs(x, Abs(y, Var(rng.choice((x, y)))))
+    inner = _numeral_look_alike(rng, depth - 1)
+    return Abs(x, Abs(y, App(Var(rng.choice((x, y))), inner)))
+
+
+def test_decode_agrees_with_alpha_equality_on_look_alikes():
+    rng = random.Random(20261019)
+    decoded = 0
+    for _ in range(400):
+        depth = rng.randint(0, 6)
+        t = _numeral_look_alike(rng, depth)
+        want = depth if t == encode_nat(depth) else None
+        assert decode_nat(t) == want, print_term(t)
+        decoded += want is not None
+    assert 10 < decoded < 390
 
 
 def test_bit_strings_are_distinct_values():
@@ -207,8 +238,17 @@ def test_standard_choice_matches_plain_choice_under_cbn():
 # ---------- parser constants ----------
 
 
-def test_exported_constants_cover_the_reserved_names():
-    table = constants()
-    assert sorted(table) == ["FF", "GEO", "H", "MFDT", "OMEGA", "PAIR", "TT", "XOR"]
-    for name, term in table.items():
-        assert parse(name) == term
+def test_every_reserved_name_parses_to_its_encodings_constant():
+    names = [n for n in RESERVED if n != "NAT"]
+    assert names == [
+        "TT", "FF", "XOR", "DELTA", "OMEGA", "H", "MFDT", "SUCC", "GEO", "PAIR"
+    ]
+    for name in names:
+        assert parse(name) is getattr(encodings, name)
+
+
+def test_later_constants_share_the_objects_of_earlier_ones():
+    assert OMEGA.fun is OMEGA.arg is encodings.DELTA
+    assert MFDT.fun is H
+    assert GEO.arg is TT  # NAT 0
+    assert XOR.body.body.fun.fun.arg.body.fun.arg is FF

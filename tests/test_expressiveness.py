@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_fdt
+from plam import expressiveness
 from plam.dist import HALF, ONE, Dyadic
 from plam.encodings import (
     GEO,
@@ -121,10 +122,16 @@ def test_split_of_the_geometric_oracle():
     assert remainder.approx(2, 4) == "0100"
 
 
-def test_split_respects_its_query_budget():
+def test_split_respects_its_query_budget(monkeypatch):
+    monkeypatch.setattr(expressiveness, "QUERY_BUDGET", 16)
     thin = FractionOracle(lambda a: Fraction(1, 2**100))
-    with pytest.raises(OracleError):
-        split(thin, budget=16)
+    digits = []
+    monkeypatch.setattr(
+        thin, "approx", lambda a, n: digits.append(n) or "0" * n
+    )
+    with pytest.raises(OracleError, match="budget of 16 rounds"):
+        split(thin)
+    assert max(digits) == 16
 
 
 # ---------- building a term from an oracle ----------

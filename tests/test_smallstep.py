@@ -17,6 +17,7 @@ from helpers import (
 from plam.dist import HALF, ONE, ZERO, Dyadic, SubDist, from_value
 from plam.encodings import OMEGA, encode_nat
 from plam.reduction import CBN, CBV, STRATEGIES
+import plam.smallstep as smallstep
 from plam.smallstep import (
     Bracket,
     FrontierCapError,
@@ -77,6 +78,15 @@ def test_open_terms_are_rejected():
         approximate(Var("x"), CBV, 1)
     with pytest.raises(OpenTermError):
         divergence_bracket(Var("y"), CBN, 1)
+
+
+@pytest.mark.parametrize("strategy, fuel", [("lazy", 5), (CBV, -5), (CBN, -1)])
+def test_bad_input_is_rejected_before_any_work(monkeypatch, strategy, fuel):
+    calls = count_steps(monkeypatch)
+    for t in (I, OMEGA):
+        with pytest.raises(ValueError, match="unknown strategy|negative fuel"):
+            approximate(t, strategy, fuel)
+    assert calls == []
 
 
 def _choice_tree(values):
@@ -206,6 +216,32 @@ def test_a_recurring_state_is_stepped_once(monkeypatch, strategy):
     b = approximate(OMEGA, strategy, 500)
     assert b.residual == ONE
     assert calls == [OMEGA]
+
+
+def test_a_closure_gives_up_past_the_closure_limit(monkeypatch):
+    # the frontier state I (W W) steps to W W and back: a two-state cycle
+    t = parse("(\\x. (\\y. y) (x x)) (\\x. (\\y. y) (x x))")
+    assert approximate(t, CBN, 5).divergence() == (ONE, ONE)
+    monkeypatch.setattr(smallstep, "CLOSURE_LIMIT", 1)
+    assert approximate(t, CBN, 5).divergence() == (ZERO, ONE)
+
+
+def test_a_closure_stops_at_states_an_earlier_one_certified():
+    # the second frontier state reaches (\x. OMEGA) (\w. w), which the
+    # first closure certified
+    t = parse(
+        "(\\x. OMEGA) (\\w. w) (+) (\\y. \\z. OMEGA) (\\w. w) (\\w. w)"
+    )
+    b = approximate(t, CBN, 1)
+    assert len(b.frontier) == 2
+    assert b.divergence() == (ONE, ONE)
+
+
+def test_a_frontier_state_already_certified_counts():
+    # OMEGA is certified by the first closure before its own turn comes
+    b = approximate(parse("(\\x. OMEGA) (\\w. w) (+) OMEGA"), CBN, 1)
+    assert [t for t, _ in b.frontier][1] == OMEGA
+    assert b.divergence() == (ONE, ONE)
 
 
 def test_the_closures_share_one_graph(monkeypatch):
