@@ -8,10 +8,10 @@ never with float tolerances.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .syntax import Term, is_value, parse, print_term
 

@@ -92,6 +92,8 @@ def approximate(
 ) -> Bracket:
     """Exact lower approximant and residual after `fuel` rounds."""
     check_input(t, strategy, fuel)
+    if frontier_cap < 0:
+        raise ValueError(f"negative frontier cap {frontier_cap}")
     lower: dict[Term, Dyadic] = {}
     frontier: dict[Term, Dyadic] = {}
     graph: dict[Term, list[Term]] = {}

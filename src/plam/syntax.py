@@ -2,7 +2,18 @@
 
 Equality and hashing on terms are up to renaming of bound variables, so
 terms can be used directly as keys of distributions; the nameless key
-that decides it is private to this module.  The concrete syntax is
+that decides it is private to this module.
+
+Terms are `__slots__` objects without an instance dict.  The
+constructors build free names and size from the children's.  The key
+and the hash are filled together on a term's first comparison or hash,
+from the children's stored pairs: the hash is composed from the
+children's hashes (Filliâtre & Conchon, "Type-Safe Modular
+Hash-Consing", 2006), so hashing never walks a key tuple.  Fields are
+read-only properties over private slots; `__match_args__` names the
+slots, so class patterns read them without the property call.
+
+The concrete syntax is
 
     term := '\\' ident '.' term | app
     app  := atom+
@@ -18,8 +29,8 @@ import; `NAT n` is the Scott numeral n.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import count
+from operator import attrgetter
 
 # Reduction of translated terms stacks continuations a few thousand frames
 # deep; the default limit is too small for that.
@@ -42,80 +53,94 @@ class OpenTermError(ValueError):
         super().__init__(f"term has free variables: {names}")
 
 
-class _cached:
-    """`functools.cached_property` without the lock Python 3.11 takes on
-    every first access.  The first access stores the value in the
-    instance `__dict__`, which then shadows this non-data descriptor;
-    two threads racing on it at worst compute the same value twice."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 class Term:
-    """Base class for Var, Abs, App and Choice."""
+    """Base class for Var, Abs, App and Choice.  `_key` is None until
+    `_alpha_key` fills `_key` and `_hash`."""
 
+    __slots__ = ("_free", "_size", "_key", "_hash")
     __match_args__ = ()
+
+    free_names = property(attrgetter("_free"))
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, Term):
             return NotImplemented
-        return self.alpha_key == other.alpha_key
+        if self._key is None:
+            _alpha_key(self)
+        if other._key is None:
+            _alpha_key(other)
+        return self._hash == other._hash and self._key == other._key
 
     def __hash__(self):
+        if self._key is None:
+            _alpha_key(self)
         return self._hash
 
-    @_cached
-    def _hash(self) -> int:
-        return hash(self.alpha_key)
-
-    @_cached
+    @property
     def alpha_key(self):
         """Nameless form: identical keys exactly for alpha-equivalent terms."""
-        return _alpha_key(self)
-
-    @_cached
-    def free_names(self) -> frozenset[str]:
-        return _free_names(self)
-
-    @_cached
-    def _size(self) -> int:
-        return _node_count(self)
+        if self._key is None:
+            _alpha_key(self)
+        return self._key
 
     def __repr__(self):
         return print_term(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(Term):
-    name: str
+    __slots__ = ("_name",)
+    __match_args__ = ("_name",)
+    name = property(attrgetter("_name"))
+
+    def __init__(self, name: str):
+        self._name = name
+        self._free = _free_names(self)
+        self._size = 1
+        self._key = None
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Abs(Term):
-    binder: str
-    body: Term
+    __slots__ = ("_binder", "_body")
+    __match_args__ = ("_binder", "_body")
+    binder = property(attrgetter("_binder"))
+    body = property(attrgetter("_body"))
+
+    def __init__(self, binder: str, body: Term):
+        self._binder = binder
+        self._body = body
+        self._free = _free_names(self)
+        self._size = body._size + 1
+        self._key = None
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class App(Term):
-    fun: Term
-    arg: Term
+    __slots__ = ("_fun", "_arg")
+    __match_args__ = ("_fun", "_arg")
+    fun = property(attrgetter("_fun"))
+    arg = property(attrgetter("_arg"))
+
+    def __init__(self, fun: Term, arg: Term):
+        self._fun = fun
+        self._arg = arg
+        self._free = _free_names(self)
+        self._size = fun._size + arg._size + 1
+        self._key = None
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Choice(Term):
-    left: Term
-    right: Term
+    __slots__ = ("_left", "_right")
+    __match_args__ = ("_left", "_right")
+    left = property(attrgetter("_left"))
+    right = property(attrgetter("_right"))
+
+    def __init__(self, left: Term, right: Term):
+        self._left = left
+        self._right = right
+        self._free = _free_names(self)
+        self._size = left._size + right._size + 1
+        self._key = None
 
 
 def is_value(t: Term) -> bool:
@@ -123,66 +148,76 @@ def is_value(t: Term) -> bool:
     return isinstance(t, (Var, Abs))
 
 
-def _alpha_key(t: Term):
-    """Nameless key from the children's cached keys: ("f", name) for a
-    free variable, ("b", i) for the variable bound i binders up, and
-    ("l", body), ("a", fun, arg), ("c", left, right)."""
+def _alpha_key(t: Term) -> None:
+    """Store t's nameless key and its hash: ("f", name) for a free
+    variable, ("b", i) for the variable bound i binders up, and
+    ("l", body), ("a", fun, arg), ("c", left, right).  Children's keys
+    are taken as stored, and the hash is composed from theirs, so no key
+    tuple is walked."""
     match t:
         case Var(name):
-            return ("f", name)
+            key = ("f", name)
+            t._key, t._hash = key, hash(key)
         case Abs(binder, body):
-            return ("l", _bound_key(body, (binder,)))
-        case App(fun, arg):
-            return ("a", fun.alpha_key, arg.alpha_key)
-        case Choice(left, right):
-            return ("c", left.alpha_key, right.alpha_key)
-    raise TypeError(f"not a term: {t!r}")
+            key, h = _bound_key(body, (binder,))
+            t._key, t._hash = ("l", key), hash(("l", h))
+        case App(fun, arg) | Choice(fun, arg):
+            if fun._key is None:
+                _alpha_key(fun)
+            if arg._key is None:
+                _alpha_key(arg)
+            tag = "a" if type(t) is App else "c"
+            t._key = (tag, fun._key, arg._key)
+            t._hash = hash((tag, fun._hash, arg._hash))
+        case _:
+            raise TypeError(f"not a term: {t!r}")
 
 
 def _bound_key(t: Term, bound: tuple[str, ...]):
-    """Key of t under the binders `bound`, innermost first.  A subterm
-    with none of them free keeps its own cached key."""
-    if t.free_names.isdisjoint(bound):
-        return t.alpha_key
+    """(key, hash) of t under the binders `bound`, innermost first.  A
+    subterm with none of them free gives back its own stored pair."""
+    if t._free.isdisjoint(bound):
+        if t._key is None:
+            _alpha_key(t)
+        return t._key, t._hash
     match t:
         case Var(name):
-            return ("b", bound.index(name))
+            key = ("b", bound.index(name))
+            return key, hash(key)
         case Abs(binder, body):
-            return ("l", _bound_key(body, (binder, *bound)))
-        case App(fun, arg):
-            return ("a", _bound_key(fun, bound), _bound_key(arg, bound))
-        case Choice(left, right):
-            return ("c", _bound_key(left, bound), _bound_key(right, bound))
+            key, h = _bound_key(body, (binder, *bound))
+            return ("l", key), hash(("l", h))
+        case App(fun, arg) | Choice(fun, arg):
+            tag = "a" if type(t) is App else "c"
+            fun_key, fun_hash = _bound_key(fun, bound)
+            arg_key, arg_hash = _bound_key(arg, bound)
+            return (tag, fun_key, arg_key), hash((tag, fun_hash, arg_hash))
     raise TypeError(f"not a term: {t!r}")
 
 
 def _free_names(t: Term) -> frozenset[str]:
-    match t:
-        case Var(name):
-            return frozenset((name,))
-        case Abs(binder, body):
-            return body.free_names - {binder}
-        case App(fun, arg):
-            return fun.free_names | arg.free_names
-        case Choice(left, right):
-            return left.free_names | right.free_names
-    raise TypeError(f"not a term: {t!r}")
+    """t's free names from its children's; a child's set is shared, not
+    copied, where it is already the answer.  Every constructor calls
+    this, so it tests the type instead of matching class patterns, which
+    cost several times more."""
+    kind = type(t)
+    if kind is App:
+        names, other = t._fun._free, t._arg._free
+    elif kind is Choice:
+        names, other = t._left._free, t._right._free
+    elif kind is Abs:
+        names = t._body._free
+        return names - {t._binder} if t._binder in names else names
+    else:
+        return frozenset((t._name,))
+    if not other:
+        return names
+    return names | other if names else other
 
 
 def size(t: Term) -> int:
     """Number of AST nodes."""
     return t._size
-
-
-def _node_count(t: Term) -> int:
-    match t:
-        case Var():
-            return 1
-        case Abs(_, body):
-            return 1 + body._size
-        case App(fun, arg) | Choice(fun, arg):
-            return 1 + fun._size + arg._size
-    raise TypeError(f"not a term: {t!r}")
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -195,10 +230,10 @@ def fresh_name(base: str, avoid) -> str:
 
 def substitute(body: Term, var: str, replacement: Term) -> Term:
     """Capture-avoiding substitution of replacement for free var in body."""
-    repl_free = replacement.free_names
+    repl_free = replacement._free
 
     def go(t: Term) -> Term:
-        if var not in t.free_names:
+        if var not in t._free:
             return t
         match t:
             case Var():
@@ -207,7 +242,7 @@ def substitute(body: Term, var: str, replacement: Term) -> Term:
                 # var is free in t, so binder != var here
                 if binder in repl_free:
                     renamed = fresh_name(
-                        binder, repl_free | inner.free_names | {var}
+                        binder, repl_free | inner._free | {var}
                     )
                     inner = substitute(inner, binder, Var(renamed))
                     binder = renamed
@@ -227,7 +262,7 @@ def canonicalize(t: Term) -> Term:
     Free variables keep their names; alpha-equivalent terms map to the
     same canonical term.  The binder structure is read off the key.
     """
-    names = (n for n in map("x{}".format, count()) if n not in t.free_names)
+    names = (n for n in map("x{}".format, count()) if n not in t._free)
 
     def go(key, scope: tuple[str, ...]) -> Term:
         match key:

@@ -19,3 +19,24 @@ def test_every_traced_layer_resolves(monkeypatch):
         else:
             found = getattr(owner, attr, None)
         assert callable(found), f"{name}: {owner.__name__}.{attr} is gone"
+
+
+def test_the_tracer_records_the_term_core_layers(monkeypatch):
+    # free names are built in the constructors and keys on first use; a
+    # layer that records no span would read 0 in the trace, not fail
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spans = importlib.import_module("spans")
+    from plam import smallstep, syntax
+
+    term = syntax.parse("(\\x. x x) (\\y. y (+) y)")
+    originals = (smallstep.approximate, syntax._alpha_key, syntax._free_names)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        smallstep.approximate(term, "cbv", 5)
+    finally:
+        tracer.uninstall()
+    recorded = {tracer.names[i] for i in tracer.name}
+    assert {"syntax.alpha_key", "syntax.free_names", "reduction.step"} <= recorded
+    assert (smallstep.approximate, syntax._alpha_key, syntax._free_names) == originals

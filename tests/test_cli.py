@@ -120,6 +120,22 @@ def test_negative_fuel_exits_one(capsys, argv):
     assert err.startswith("error: negative fuel")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "TT (+) FF", "--strategy", "cbn", "--frontier-cap", "-5"],
+        ["eval", "OMEGA", "--frontier-cap", "-1", "--json"],
+        ["diverge", "OMEGA", "--frontier-cap", "-5"],
+        ["check", "duality", "--frontier-cap", "-5"],
+        ["check", "simulation", "--fuel", "3", "--frontier-cap", "-5"],
+    ],
+)
+def test_negative_frontier_cap_exits_one(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("error: negative frontier cap")
+
+
 def test_eval_frontier_cap_exhaustion_exits_two(capsys):
     code, _, err = run(capsys, ["eval", "OMEGA", "--frontier-cap", "0"])
     assert code == EXIT_EVAL

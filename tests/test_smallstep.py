@@ -89,6 +89,17 @@ def test_bad_input_is_rejected_before_any_work(monkeypatch, strategy, fuel):
     assert calls == []
 
 
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_a_negative_frontier_cap_is_rejected_before_any_work(monkeypatch, strategy):
+    calls = count_steps(monkeypatch)
+    for t in (I, OMEGA, parse("TT (+) FF")):
+        with pytest.raises(ValueError, match="negative frontier cap -5"):
+            approximate(t, strategy, 50, frontier_cap=-5)
+        with pytest.raises(ValueError, match="negative frontier cap -1"):
+            divergence_bracket(t, strategy, 50, frontier_cap=-1)
+    assert calls == []
+
+
 def _choice_tree(values):
     if len(values) == 1:
         return values[0]

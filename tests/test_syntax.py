@@ -146,6 +146,30 @@ def test_hash_agrees_with_alpha_eq():
     assert len({parse("\\x. x"), parse("\\y. y"), parse("\\x. x x")}) == 2
 
 
+def test_hash_is_composed_from_the_childrens_hashes():
+    t, u = OMEGA, parse("\\y. y")
+    assert hash(App(t, u)) == hash(("a", hash(t), hash(u)))
+    assert hash(Choice(u, t)) == hash(("c", hash(u), hash(t)))
+    assert hash(Abs("x", App(Var("x"), t))) == hash(
+        ("l", hash(("a", hash(("b", 0)), hash(t))))
+    )
+
+
+def test_keying_a_term_over_keyed_children_takes_one_call(monkeypatch):
+    # the mended cost: a new term's key and hash take the stored pairs of
+    # its keyed closed subterms, however large, without walking them
+    calls = []
+    original = syntax._alpha_key
+    monkeypatch.setattr(syntax, "_alpha_key", lambda t: calls.append(t) or original(t))
+    t = parse("NAT 200")
+    hash(t)
+    calls.clear()
+    for wrapped in (App(t, t), Abs("x", App(Var("x"), t))):
+        hash(wrapped)
+        assert calls == [wrapped]
+        calls.clear()
+
+
 def test_keys_share_the_keys_of_closed_subterms():
     t = OMEGA
     assert App(t, t).alpha_key[1] is t.alpha_key
@@ -199,6 +223,30 @@ def test_alpha_key_is_the_de_bruijn_form(t):
     assert c == t and c.free_names == t.free_names
 
 
+def _rename_binders(t, scope=()):
+    """t with every binder primed: alpha-equal to t, with other names."""
+    match t:
+        case Var(name):
+            return Var(name + "'" if name in scope else name)
+        case Abs(binder, body):
+            return Abs(binder + "'", _rename_binders(body, scope + (binder,)))
+        case App(fun, arg):
+            return App(_rename_binders(fun, scope), _rename_binders(arg, scope))
+        case Choice(left, right):
+            return Choice(_rename_binders(left, scope), _rename_binders(right, scope))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_SHADOWING_TERMS, _OPEN_TERMS))
+def test_alpha_equal_terms_hash_equal(t):
+    renamed = _rename_binders(t)
+    assert renamed == t
+    assert hash(t) == hash(canonicalize(t)) == hash(renamed)
+    # wrappers over keyed subterms, and fresh copies keyed from the top
+    for u in (Abs("x", t), App(renamed, t)):
+        assert hash(u) == hash(canonicalize(u)) == hash(_rename_binders(u))
+
+
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 def test_deep_numerals_evaluate(strategy):
     t = parse("NAT 2000")
@@ -236,16 +284,50 @@ def test_size_counts_nodes():
     assert size(parse("(\\x. x x) (\\x. x x)")) == 9
 
 
-def test_size_is_built_from_the_childrens_cached_sizes(monkeypatch):
-    counted = []
-    original = syntax._node_count
-    monkeypatch.setattr(
-        syntax, "_node_count", lambda t: counted.append(t) or original(t)
-    )
-    omega = parse("(\\x. x x) (\\x. x x)")
-    assert size(omega) == 9 and len(counted) == 9
-    assert size(omega) == 9 and len(counted) == 9
-    assert size(App(omega, omega)) == 19 and len(counted) == 10
+def test_size_is_built_from_the_childrens_cached_sizes():
+    t = parse("(\\x. x x) (\\x. x x)")
+    assert App(t, t)._size == 2 * t._size + 1 == 19
+    # the constructor reads the children's stored sizes and walks nothing
+    t._size = 1000
+    assert App(t, t)._size == 2001
+    assert Abs("x", t)._size == 1001
+
+
+def test_free_names_share_the_childrens_sets():
+    open_term = parse("\\x. x y")
+    assert App(open_term, OMEGA).free_names is open_term.free_names
+    assert Choice(OMEGA, open_term).free_names is open_term.free_names
+    assert Abs("x", open_term).free_names is open_term.free_names
+    assert Abs("y", open_term).free_names == frozenset()
+    assert App(open_term, Var("z")).free_names == {"y", "z"}
+
+
+@pytest.mark.parametrize(
+    "term, field",
+    [
+        (Var("x"), "name"),
+        (I, "binder"),
+        (I, "body"),
+        (App(I, I), "fun"),
+        (App(I, I), "arg"),
+        (Choice(I, I), "left"),
+        (Choice(I, I), "right"),
+        (Var("x"), "free_names"),
+        (App(I, I), "free_names"),
+    ],
+)
+def test_public_fields_are_read_only(term, field):
+    before = getattr(term, field)
+    with pytest.raises(AttributeError):
+        setattr(term, field, Var("q"))
+    assert getattr(term, field) is before
+
+
+@pytest.mark.parametrize("term", [Var("x"), I, App(I, I), Choice(I, I)])
+def test_terms_have_no_instance_dict(term):
+    assert not hasattr(term, "__dict__")
+    with pytest.raises(AttributeError):
+        term.note = 1
 
 
 # ---------- substitution ----------
