@@ -18,15 +18,17 @@ from __future__ import annotations
 
 from .dist import HALF, SubDist, combine, from_value
 from .reduction import CBV, check_input
-from .syntax import Abs, App, Choice, Term, is_value, substitute
+from .syntax import Abs, App, Term, Var, substitute
 
 
 def eval_big(t: Term, strategy: str, fuel: int) -> SubDist:
     check_input(t, strategy, fuel)
     memo: dict[tuple[Term, int], SubDist] = {}
+    cbv = strategy == CBV
 
     def go(t: Term, fuel: int) -> SubDist:
-        if is_value(t):
+        kind = type(t)
+        if kind is Abs or kind is Var:
             return from_value(t)
         if fuel == 0:
             return SubDist()
@@ -34,38 +36,31 @@ def eval_big(t: Term, strategy: str, fuel: int) -> SubDist:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        match t:
-            case App(fun, arg):
-                d = go(fun, fuel - 1)
-                if strategy == CBV:
-                    e = go(arg, fuel - 1)
-                    parts = [
-                        (
-                            mf * mv,
-                            go(substitute(f.body, f.binder, v), fuel - 1),
-                        )
-                        for f, mf in d.items()
-                        if isinstance(f, Abs)
-                        for v, mv in e.items()
-                    ]
-                else:
-                    parts = [
-                        (mf, go(substitute(f.body, f.binder, arg), fuel - 1))
-                        for f, mf in d.items()
-                        if isinstance(f, Abs)
-                    ]
-                result = combine(parts)
-            case Choice(left, right):
-                d = go(left, fuel - 1)
-                e = go(right, fuel - 1)
-                if strategy == CBV:
-                    result = combine(
-                        [(HALF * e.mass(), d), (HALF * d.mass(), e)]
-                    )
-                else:
-                    result = combine([(HALF, d), (HALF, e)])
-            case _:
-                raise TypeError(f"not a term: {t!r}")
+        if kind is App:
+            arg = t._arg
+            d = go(t._fun, fuel - 1)
+            if cbv:
+                e = go(arg, fuel - 1)
+                parts = [
+                    (mf * mv, go(substitute(f._body, f._binder, v), fuel - 1))
+                    for f, mf in d.items()
+                    if type(f) is Abs
+                    for v, mv in e.items()
+                ]
+            else:
+                parts = [
+                    (mf, go(substitute(f._body, f._binder, arg), fuel - 1))
+                    for f, mf in d.items()
+                    if type(f) is Abs
+                ]
+            result = combine(parts)
+        else:  # a choice
+            d = go(t._left, fuel - 1)
+            e = go(t._right, fuel - 1)
+            if cbv:
+                result = combine([(HALF * e.mass(), d), (HALF * d.mass(), e)])
+            else:
+                result = combine([(HALF, d), (HALF, e)])
         memo[key] = result
         return result
 

@@ -125,6 +125,10 @@ def _cmd_parse(args) -> int:
 def _cmd_eval(args) -> int:
     term = parse(args.term)
     if args.engine == "big":
+        # the big-step engine keeps no frontier, but a cap it cannot
+        # honour is still an invalid argument, as for the small-step one
+        if args.frontier_cap < 0:
+            raise ValueError(f"negative frontier cap {args.frontier_cap}")
         d = eval_big(term, args.strategy, args.fuel)
         if args.json:
             obj = d.to_json()

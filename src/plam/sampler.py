@@ -52,14 +52,14 @@ def _run_cbv(t: Term, max_steps: int, rng):
     while True:
         kind = type(term)
         if kind is App:
-            stack.append((_ARG, term.arg, env))
-            term = term.fun
+            stack.append((_ARG, term._arg, env))
+            term = term._fun
             continue
         if kind is Choice:
-            stack.append((_RIGHT, term.right, env))
-            term = term.left
+            stack.append((_RIGHT, term._right, env))
+            term = term._left
             continue
-        value = env[term.name] if kind is Var else (term, env)
+        value = env[term._name] if kind is Var else (term, env)
         while True:
             if not stack:
                 return value, steps
@@ -77,7 +77,7 @@ def _run_cbv(t: Term, max_steps: int, rng):
                 if steps > max_steps:
                     return None
                 fun, fun_env = a
-                term, env = fun.body, {**fun_env, fun.binder: value}
+                term, env = fun._body, {**fun_env, fun._binder: value}
                 break
             # _FLIP: the step past the budget still tosses its coin, as
             # the small-step path takes that step before it stops
@@ -99,22 +99,22 @@ def _run_cbn(t: Term, max_steps: int, rng):
         if kind is App:
             # a variable argument passes its own closure on, so lookups
             # never chain through closures that only rename
-            arg = term.arg
-            stack.append(env[arg.name] if type(arg) is Var else (arg, env))
-            term = term.fun
+            arg = term._arg
+            stack.append(env[arg._name] if type(arg) is Var else (arg, env))
+            term = term._fun
         elif kind is Var:
-            term, env = env[term.name]
+            term, env = env[term._name]
         elif kind is Choice:
             steps += 1
-            term = term.left if rng.getrandbits(1) else term.right
+            term = term._left if rng.getrandbits(1) else term._right
             if steps > max_steps:
                 return None
         elif stack:
             steps += 1
             if steps > max_steps:
                 return None
-            env = {**env, term.binder: stack.pop()}
-            term = term.body
+            env = {**env, term._binder: stack.pop()}
+            term = term._body
         else:
             return (term, env), steps
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from .dist import Dyadic, ONE, SubDist, ZERO
 from .reduction import check_input, step
 from .syntax import OpenTermError  # re-exported: callers import it from here
-from .syntax import Term, is_value, size
+from .syntax import Abs, Term, Var, is_value, size
 
 DEFAULT_FRONTIER_CAP = 100_000
 # states one divergence closure may explore before it gives up
@@ -97,12 +97,7 @@ def approximate(
     lower: dict[Term, Dyadic] = {}
     frontier: dict[Term, Dyadic] = {}
     graph: dict[Term, list[Term]] = {}
-
-    def put(table, term, mass):
-        prev = table.get(term)
-        table[term] = mass if prev is None else prev + mass
-
-    put(lower if is_value(t) else frontier, t, ONE)
+    (lower if is_value(t) else frontier)[t] = ONE
 
     for round_no in range(1, fuel + 1):
         if not frontier:
@@ -114,7 +109,12 @@ def approximate(
                 succs = graph[term] = step(term, strategy)
             share = mass.half() if len(succs) == 2 else mass
             for s in succs:
-                put(lower if is_value(s) else fresh, s, share)
+                # the value test and the mass merge, inlined: this runs
+                # once per successor of every state in every round
+                kind = type(s)
+                table = lower if kind is Abs or kind is Var else fresh
+                prev = table.get(s)
+                table[s] = share if prev is None else prev + share
         if len(fresh) > frontier_cap:
             raise FrontierCapError(frontier_cap, round_no, len(fresh))
         frontier = fresh

@@ -10,8 +10,15 @@ and the hash are filled together on a term's first comparison or hash,
 from the children's stored pairs: the hash is composed from the
 children's hashes (Filliâtre & Conchon, "Type-Safe Modular
 Hash-Consing", 2006), so hashing never walks a key tuple.  Fields are
-read-only properties over private slots; `__match_args__` names the
-slots, so class patterns read them without the property call.
+read-only properties over private slots.
+
+The hot walks (free names, keys, substitution, and the steppers, the
+big-step engine and the sampler's machines in their modules) dispatch on
+`type(t)` and read the slots directly: a class pattern with two
+subpatterns costs about ten times a type test and two slot reads, and a
+property read costs more than a slot read.  `__match_args__` names the
+slots for the cold walks (printing, canonical forms, the CPS
+translations, the encodings), which keep their `match` statements.
 
 The concrete syntax is
 
@@ -154,23 +161,24 @@ def _alpha_key(t: Term) -> None:
     ("l", body), ("a", fun, arg), ("c", left, right).  Children's keys
     are taken as stored, and the hash is composed from theirs, so no key
     tuple is walked."""
-    match t:
-        case Var(name):
-            key = ("f", name)
-            t._key, t._hash = key, hash(key)
-        case Abs(binder, body):
-            key, h = _bound_key(body, (binder,))
-            t._key, t._hash = ("l", key), hash(("l", h))
-        case App(fun, arg) | Choice(fun, arg):
-            if fun._key is None:
-                _alpha_key(fun)
-            if arg._key is None:
-                _alpha_key(arg)
-            tag = "a" if type(t) is App else "c"
-            t._key = (tag, fun._key, arg._key)
-            t._hash = hash((tag, fun._hash, arg._hash))
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    kind = type(t)
+    if kind is App or kind is Choice:
+        if kind is App:
+            tag, fun, arg = "a", t._fun, t._arg
+        else:
+            tag, fun, arg = "c", t._left, t._right
+        if fun._key is None:
+            _alpha_key(fun)
+        if arg._key is None:
+            _alpha_key(arg)
+        t._key = (tag, fun._key, arg._key)
+        t._hash = hash((tag, fun._hash, arg._hash))
+    elif kind is Abs:
+        key, h = _bound_key(t._body, (t._binder,))
+        t._key, t._hash = ("l", key), hash(("l", h))
+    else:
+        key = ("f", t._name)
+        t._key, t._hash = key, hash(key)
 
 
 def _bound_key(t: Term, bound: tuple[str, ...]):
@@ -180,19 +188,20 @@ def _bound_key(t: Term, bound: tuple[str, ...]):
         if t._key is None:
             _alpha_key(t)
         return t._key, t._hash
-    match t:
-        case Var(name):
-            key = ("b", bound.index(name))
-            return key, hash(key)
-        case Abs(binder, body):
-            key, h = _bound_key(body, (binder, *bound))
-            return ("l", key), hash(("l", h))
-        case App(fun, arg) | Choice(fun, arg):
-            tag = "a" if type(t) is App else "c"
-            fun_key, fun_hash = _bound_key(fun, bound)
-            arg_key, arg_hash = _bound_key(arg, bound)
-            return (tag, fun_key, arg_key), hash((tag, fun_hash, arg_hash))
-    raise TypeError(f"not a term: {t!r}")
+    kind = type(t)
+    if kind is App or kind is Choice:
+        if kind is App:
+            tag, fun, arg = "a", t._fun, t._arg
+        else:
+            tag, fun, arg = "c", t._left, t._right
+        fun_key, fun_hash = _bound_key(fun, bound)
+        arg_key, arg_hash = _bound_key(arg, bound)
+        return (tag, fun_key, arg_key), hash((tag, fun_hash, arg_hash))
+    if kind is Abs:
+        key, h = _bound_key(t._body, (t._binder, *bound))
+        return ("l", key), hash(("l", h))
+    key = ("b", bound.index(t._name))
+    return key, hash(key)
 
 
 def _free_names(t: Term) -> frozenset[str]:
@@ -235,23 +244,20 @@ def substitute(body: Term, var: str, replacement: Term) -> Term:
     def go(t: Term) -> Term:
         if var not in t._free:
             return t
-        match t:
-            case Var():
-                return replacement
-            case Abs(binder, inner):
-                # var is free in t, so binder != var here
-                if binder in repl_free:
-                    renamed = fresh_name(
-                        binder, repl_free | inner._free | {var}
-                    )
-                    inner = substitute(inner, binder, Var(renamed))
-                    binder = renamed
-                return Abs(binder, go(inner))
-            case App(fun, arg):
-                return App(go(fun), go(arg))
-            case Choice(left, right):
-                return Choice(go(left), go(right))
-        raise TypeError(f"not a term: {t!r}")
+        kind = type(t)
+        if kind is App:
+            return App(go(t._fun), go(t._arg))
+        if kind is Abs:
+            # var is free in t, so binder != var here
+            binder, inner = t._binder, t._body
+            if binder in repl_free:
+                renamed = fresh_name(binder, repl_free | inner._free | {var})
+                inner = substitute(inner, binder, Var(renamed))
+                binder = renamed
+            return Abs(binder, go(inner))
+        if kind is Choice:
+            return Choice(go(t._left), go(t._right))
+        return replacement  # the variable var itself
 
     return go(body)
 

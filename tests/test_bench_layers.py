@@ -22,21 +22,40 @@ def test_every_traced_layer_resolves(monkeypatch):
 
 
 def test_the_tracer_records_the_term_core_layers(monkeypatch):
-    # free names are built in the constructors and keys on first use; a
+    # free names are built in the constructors and keys on first use, and
+    # the walks reach step and substitute through module attributes; a
     # layer that records no span would read 0 in the trace, not fail
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spans = importlib.import_module("spans")
-    from plam import smallstep, syntax
+    from plam import reduction, smallstep, syntax
 
     term = syntax.parse("(\\x. x x) (\\y. y (+) y)")
-    originals = (smallstep.approximate, syntax._alpha_key, syntax._free_names)
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        smallstep.approximate(term, "cbv", 5)
-    finally:
-        tracer.uninstall()
-    recorded = {tracer.names[i] for i in tracer.name}
-    assert {"syntax.alpha_key", "syntax.free_names", "reduction.step"} <= recorded
-    assert (smallstep.approximate, syntax._alpha_key, syntax._free_names) == originals
+    originals = (
+        smallstep.approximate,
+        syntax._alpha_key,
+        syntax._free_names,
+        syntax.substitute,
+        reduction.step,
+    )
+    for strategy in reduction.STRATEGIES:
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            smallstep.approximate(term, strategy, 5)
+        finally:
+            tracer.uninstall()
+        recorded = {tracer.names[i] for i in tracer.name}
+        assert {
+            "syntax.alpha_key",
+            "syntax.free_names",
+            "syntax.substitute",
+            "reduction.step",
+        } <= recorded, strategy
+    assert (
+        smallstep.approximate,
+        syntax._alpha_key,
+        syntax._free_names,
+        syntax.substitute,
+        reduction.step,
+    ) == originals

@@ -128,6 +128,7 @@ def test_negative_fuel_exits_one(capsys, argv):
         ["diverge", "OMEGA", "--frontier-cap", "-5"],
         ["check", "duality", "--frontier-cap", "-5"],
         ["check", "simulation", "--fuel", "3", "--frontier-cap", "-5"],
+        ["eval", "OMEGA", "--engine", "big", "--frontier-cap", "-5"],
     ],
 )
 def test_negative_frontier_cap_exits_one(capsys, argv):

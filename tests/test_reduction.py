@@ -70,6 +70,26 @@ def test_stuck_head_variable():
         step_cbv(App(Var("f"), I))
 
 
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_a_head_variable_under_an_application_spine_is_stuck(strategy):
+    with pytest.raises(StuckTermError):
+        step(parse("x y z"), strategy)
+
+
+@pytest.mark.parametrize("text", ["(x y) (+) \\z. z", "(\\z. z) (+) x y"])
+def test_cbv_gets_stuck_inside_a_choice_branch(text):
+    with pytest.raises(StuckTermError):
+        step(parse(text), CBV)
+    # call-by-name tosses the coin before looking into either branch
+    assert len(step(parse(text), CBN)) == 2
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_a_non_term_is_rejected(strategy):
+    with pytest.raises(TypeError):
+        step(42, strategy)
+
+
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         step(I, "lazy")
