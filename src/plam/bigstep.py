@@ -16,7 +16,7 @@ any result because evaluation is pure.
 
 from __future__ import annotations
 
-from .dist import HALF, SubDist, combine, from_value
+from .dist import EMPTY, HALF, SubDist, combine, from_value
 from .reduction import CBV, check_input
 from .syntax import Abs, App, Term, Var, substitute
 
@@ -31,7 +31,7 @@ def eval_big(t: Term, strategy: str, fuel: int) -> SubDist:
         if kind is Abs or kind is Var:
             return from_value(t)
         if fuel == 0:
-            return SubDist()
+            return EMPTY
         key = (t, fuel)
         cached = memo.get(key)
         if cached is not None:

@@ -3,17 +3,32 @@
 All masses are dyadic rationals num/2^exp kept in a unique normal form,
 so every distribution identity the engines assert is checked exactly,
 never with float tolerances.
+
+Both types have two construction paths.  The public constructors
+validate everything: `Dyadic(num, exp)` normalizes, and `SubDist(...)`
+checks that every key is a value, merges alpha-equal keys, drops zero
+masses and sums the total.  The private makers `_dyadic` and `_subdist`
+serve results built in this package and skip the checks those results
+pass by construction.  `_dyadic` takes a num/2^exp already in lowest
+terms.  `_subdist` takes over a dict whose keys are values and whose
+masses are positive, together with their exact sum, computed as the
+entries were built; it raises `MassError` only if that sum exceeds 1.
+The arithmetic takes its lowest-terms shortcuts through `_dyadic`;
+`from_value`, `combine` and `smallstep.approximate` build their results
+through `_subdist`.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from operator import attrgetter
 
 from .syntax import Term, is_value, parse, print_term
+
+_new = object.__new__
 
 
 class MassError(ValueError):
@@ -30,66 +45,103 @@ def _integer(text) -> int:
     return int(Decimal(text))
 
 
-@dataclass(frozen=True)
 class Dyadic:
-    """Nonnegative rational num / 2**exp in lowest terms."""
+    """Nonnegative rational num / 2**exp in lowest terms: num is odd, or
+    exp is 0.  Immutable; `num` and `exp` are read-only properties over
+    private slots, which the arithmetic reads directly."""
 
-    num: int
-    exp: int = 0
+    __slots__ = ("_num", "_exp")
+    __match_args__ = ("num", "exp")
 
-    def __post_init__(self):
-        num, exp = self.num, self.exp
+    num = property(attrgetter("_num"))
+    exp = property(attrgetter("_exp"))
+
+    def __init__(self, num: int, exp: int = 0):
         if num < 0 or exp < 0:
             raise ValueError(f"not a nonnegative dyadic: {num}/2^{exp}")
-        if num == 0:
-            exp = 0
+        if num:
+            # strip the trailing zero bits of num, at most exp of them
+            shift = (num & -num).bit_length() - 1
+            if shift > exp:
+                shift = exp
+            num >>= shift
+            exp -= shift
         else:
-            while num % 2 == 0 and exp > 0:
-                num //= 2
-                exp -= 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+            exp = 0
+        self._num = num
+        self._exp = exp
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Dyadic:
+            return NotImplemented
+        return self._num == other._num and self._exp == other._exp
+
+    def __hash__(self) -> int:
+        return hash((self._num, self._exp))
+
+    def __repr__(self) -> str:
+        return f"Dyadic(num={self._num!r}, exp={self._exp!r})"
+
+    def __reduce__(self):
+        return Dyadic, (self._num, self._exp)
 
     # -- arithmetic --
+    # The shortcuts below hand results already in lowest terms to
+    # `_dyadic`; the rest normalize in the constructor.
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
-        e = max(self.exp, other.exp)
-        return Dyadic(
-            (self.num << (e - self.exp)) + (other.num << (e - other.exp)), e
-        )
+        a, x, b, y = self._num, self._exp, other._num, other._exp
+        # with unequal exponents the larger one is positive, so its
+        # numerator is odd and the other, shifted left, is even: the sum
+        # is odd
+        if x > y:
+            return _dyadic(a + (b << (x - y)), x)
+        if x < y:
+            return _dyadic((a << (y - x)) + b, y)
+        return Dyadic(a + b, x)
 
     def __sub__(self, other: "Dyadic") -> "Dyadic":
-        e = max(self.exp, other.exp)
-        n = (self.num << (e - self.exp)) - (other.num << (e - other.exp))
-        if n < 0:
+        a, b = self._aligned(other)
+        if a < b:
             raise ValueError(f"negative result: {self} - {other}")
-        return Dyadic(n, e)
+        return Dyadic(a - b, max(self._exp, other._exp))
 
     def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic(self.num * other.num, self.exp + other.exp)
+        a, b = self._num, other._num
+        if a & b & 1:  # a product of odd numerators is odd
+            return _dyadic(a * b, self._exp + other._exp)
+        return Dyadic(a * b, self._exp + other._exp)
 
     def half(self) -> "Dyadic":
-        return Dyadic(self.num, self.exp + 1)
+        if self._num & 1:  # an even numerator has exponent 0
+            return _dyadic(self._num, self._exp + 1)
+        return Dyadic(self._num, self._exp + 1)
 
-    def _shifted(self, e: int) -> int:
-        return self.num << (e - self.exp)
+    def _aligned(self, other: "Dyadic") -> tuple[int, int]:
+        """Both numerators over the larger of the two exponents."""
+        x, y = self._exp, other._exp
+        if x >= y:
+            return self._num, other._num << (x - y)
+        return self._num << (y - x), other._num
 
     def __lt__(self, other: "Dyadic") -> bool:
-        e = max(self.exp, other.exp)
-        return self._shifted(e) < other._shifted(e)
+        a, b = self._aligned(other)
+        return a < b
 
     def __le__(self, other: "Dyadic") -> bool:
-        e = max(self.exp, other.exp)
-        return self._shifted(e) <= other._shifted(e)
+        a, b = self._aligned(other)
+        return a <= b
 
     def __gt__(self, other: "Dyadic") -> bool:
-        return other < self
+        a, b = self._aligned(other)
+        return a > b
 
     def __ge__(self, other: "Dyadic") -> bool:
-        return other <= self
+        a, b = self._aligned(other)
+        return a >= b
 
     def __bool__(self) -> bool:
-        return self.num != 0
+        return self._num != 0
 
     # -- conversions --
 
@@ -102,18 +154,18 @@ class Dyadic:
         return cls(f.numerator, d.bit_length() - 1)
 
     def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp)
+        return Fraction(self._num, 1 << self._exp)
 
     def __float__(self) -> float:
-        return self.num / (1 << self.exp)
+        return self._num / (1 << self._exp)
 
     def __str__(self) -> str:
-        num = str(Decimal(self.num))  # str(int) also stops at 4300 digits
-        return num if self.exp == 0 else f"{num}/2^{self.exp}"
+        num = str(Decimal(self._num))  # str(int) also stops at 4300 digits
+        return num if self._exp == 0 else f"{num}/2^{self._exp}"
 
     def to_json(self) -> dict:
         # decimal string keeps arbitrary precision JSON-safe
-        return {"num": str(Decimal(self.num)), "exp": self.exp}
+        return {"num": str(Decimal(self._num)), "exp": self._exp}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Dyadic":
@@ -130,8 +182,16 @@ class Dyadic:
         if self == ONE:
             return "1" * n
         return "".join(
-            str(((self.num << k) >> self.exp) & 1) for k in range(1, n + 1)
+            str(((self._num << k) >> self._exp) & 1) for k in range(1, n + 1)
         )
+
+
+def _dyadic(num: int, exp: int) -> Dyadic:
+    """The Dyadic num/2^exp, which the caller knows is in lowest terms."""
+    d = _new(Dyadic)
+    d._num = num
+    d._exp = exp
+    return d
 
 
 ZERO = Dyadic(0)
@@ -221,17 +281,33 @@ class SubDist:
 EMPTY = SubDist()
 
 
+def _subdist(entries: dict[Term, Dyadic], total: Dyadic) -> SubDist:
+    """A SubDist that takes over `entries`, a dict from values to positive
+    masses whose exact sum is `total`; only the total is checked."""
+    if total._num > 1 << total._exp:  # total > ONE
+        raise MassError(f"total mass {total} exceeds 1")
+    d = _new(SubDist)
+    d._entries = entries
+    d._mass = total
+    return d
+
+
 def from_value(v: Term) -> SubDist:
-    return SubDist(((v, ONE),))
+    if not is_value(v):
+        raise ValueError(f"not a value: {v}")
+    return _subdist({v: ONE}, ONE)
 
 
 def combine(parts: Iterable[tuple[Dyadic, SubDist]]) -> SubDist:
     """Weighted sum of sub-distributions; fails if mass would exceed 1."""
     acc: dict[Term, Dyadic] = {}
+    total = ZERO
     for w, d in parts:
-        if w:
-            for v, m in d.items():
+        if w and d._entries:
+            # each part's mass is the exact sum of its entries
+            total = total + w * d._mass
+            for v, m in d._entries.items():
                 wm = w * m
                 prev = acc.get(v)
                 acc[v] = wm if prev is None else prev + wm
-    return SubDist(acc)
+    return _subdist(acc, total) if acc else EMPTY

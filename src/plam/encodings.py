@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .dist import Dyadic, HALF, ONE, SubDist, combine, from_value
+from .dist import Dyadic, HALF, ONE, ZERO, SubDist, combine, from_value
 from .reduction import CBV
 from .smallstep import approximate
 from .syntax import (
@@ -145,7 +145,7 @@ def fdt_from_dist(d: Mapping[int, Dyadic]) -> Term:
     the matching depths (shortest codes first), which fits exactly
     because the masses sum to 1.
     """
-    total = Dyadic(0)
+    total = ZERO
     atoms: list[tuple[int, int]] = []  # (depth, outcome)
     for n in sorted(d):
         m = d[n]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dist import Dyadic, ONE, SubDist, ZERO
+from .dist import Dyadic, ONE, SubDist, ZERO, _subdist
 from .reduction import check_input, step
 from .syntax import OpenTermError  # re-exported: callers import it from here
 from .syntax import Abs, Term, Var, is_value, size
@@ -119,11 +119,17 @@ def approximate(
             raise FrontierCapError(frontier_cap, round_no, len(fresh))
         frontier = fresh
 
-    residual = ZERO
+    converged = residual = ZERO
+    for m in lower.values():
+        converged = converged + m
     for m in frontier.values():
         residual = residual + m
     return Bracket(
-        SubDist(lower), residual, fuel, strategy, tuple(frontier.items())
+        _subdist(lower, converged),
+        residual,
+        fuel,
+        strategy,
+        tuple(frontier.items()),
     )
 
 

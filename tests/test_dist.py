@@ -1,11 +1,15 @@
 """Exact dyadic arithmetic and value sub-distributions."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import gate_terms
+from plam.bigstep import eval_big
 from plam.dist import (
     EMPTY,
     HALF,
@@ -17,6 +21,8 @@ from plam.dist import (
     combine,
     from_value,
 )
+from plam.reduction import STRATEGIES
+from plam.smallstep import approximate
 from plam.syntax import Abs, App, Var, parse
 
 I = parse("\\x. x")
@@ -26,6 +32,11 @@ K2 = parse("\\x. \\y. y")
 dyadics = st.builds(
     Dyadic, st.integers(0, 1 << 20), st.integers(0, 24)
 ).filter(lambda d: d.as_fraction() <= 1)
+# masses above 1 too, and integers, whose numerators may be even
+any_dyadics = st.one_of(
+    st.builds(Dyadic, st.integers(0, 64)),
+    st.builds(Dyadic, st.integers(0, 1 << 20), st.integers(0, 24)),
+)
 
 
 # ---------- Dyadic ----------
@@ -36,6 +47,68 @@ def test_normalization_cancels_common_powers():
     assert Dyadic(4, 3) == HALF
     assert Dyadic(0, 7) == ZERO
     assert Dyadic(6, 3) == Dyadic(3, 2)
+
+
+def test_normalization_stops_at_exponent_zero():
+    assert Dyadic(8, 2) == Dyadic(2) and Dyadic(8, 2).num == 2
+    assert Dyadic(12, 5) == Dyadic(3, 3)
+    assert Dyadic(5, 0).exp == 0
+    for num, exp in ((-1, 0), (1, -1)):
+        with pytest.raises(ValueError):
+            Dyadic(num, exp)
+
+
+def _in_lowest_terms(d: Dyadic) -> bool:
+    return d.exp == 0 or d.num % 2 == 1
+
+
+@settings(max_examples=300)
+@given(any_dyadics, any_dyadics)
+@example(Dyadic(2), Dyadic(3, 2))
+@example(Dyadic(3, 2), Dyadic(2))
+@example(Dyadic(2), Dyadic(2))
+@example(Dyadic(1, 1), Dyadic(1, 1))
+@example(Dyadic(3, 2), Dyadic(1, 2))
+@example(ZERO, Dyadic(4))
+def test_arithmetic_results_are_in_lowest_terms(a, b):
+    fa, fb = a.as_fraction(), b.as_fraction()
+    results = [(a + b, fa + fb), (a * b, fa * fb), (a.half(), fa / 2)]
+    if fb <= fa:
+        results.append((a - b, fa - fb))
+    for d, f in results:
+        assert d.as_fraction() == f
+        assert _in_lowest_terms(d), d
+        assert d == Dyadic(d.num, d.exp)
+
+
+def test_products_and_halves_with_even_numerators():
+    assert Dyadic(2) * Dyadic(3, 2) == Dyadic(3, 1)
+    assert Dyadic(3, 2) * Dyadic(2) == Dyadic(3, 1)
+    assert Dyadic(4).half() == Dyadic(2) and Dyadic(4).half().exp == 0
+    assert Dyadic(2).half() == ONE
+    assert ZERO.half() == ZERO and ZERO.half().exp == 0
+    assert HALF + HALF == ONE and (HALF + HALF).exp == 0
+
+
+def test_dyadic_is_an_immutable_value():
+    d = Dyadic(6, 3)
+    assert repr(d) == "Dyadic(num=3, exp=2)"
+    assert repr(Dyadic(2, 2)) == "Dyadic(num=1, exp=1)"
+    assert hash(d) == hash((3, 2))
+    assert d == Dyadic(3, 2) and d != Dyadic(3, 1)
+    assert Dyadic(1) != 1 and not Dyadic(1) == 1
+    assert Dyadic(1, 0) != (1, 0)
+    for attr in ("num", "exp", "other"):
+        with pytest.raises(AttributeError):
+            setattr(d, attr, 1)
+    assert (d.num, d.exp) == (3, 2)
+    copies = [copy.copy(d), copy.deepcopy(d)]
+    copies += [
+        pickle.loads(pickle.dumps(d, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for c in copies:
+        assert type(c) is Dyadic and c == d and (c.num, c.exp) == (3, 2)
 
 
 def test_str_format():
@@ -157,6 +230,38 @@ def test_combine_weights_and_merges():
     assert d.get(I) == Dyadic(3, 2)
     assert d.get(K) == Dyadic(1, 2)
     assert d.mass() == ONE
+
+
+def test_combine_still_checks_the_total_mass():
+    with pytest.raises(MassError):
+        combine([(ONE, from_value(I)), (HALF, from_value(K))])
+
+
+def test_from_value_rejects_a_non_value():
+    with pytest.raises(ValueError):
+        from_value(App(I, I))
+
+
+def test_combine_of_nothing_is_empty():
+    for parts in ([], [(HALF, EMPTY)], [(ZERO, from_value(I))]):
+        d = combine(parts)
+        assert d == EMPTY and d.mass() == ZERO and len(d) == 0
+
+
+def _entry_sum(d: SubDist) -> Dyadic:
+    total = ZERO
+    for _, m in d.items():
+        total = total + m
+    return total
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_engine_results_carry_the_exact_sum_of_their_entries(strategy):
+    for t in gate_terms():
+        lower = approximate(t, strategy, 8).lower
+        big = eval_big(t, strategy, 8)
+        assert lower.mass() == _entry_sum(lower), t
+        assert big.mass() == _entry_sum(big), t
 
 
 def test_leq_is_pointwise():
