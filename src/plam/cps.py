@@ -8,13 +8,17 @@ the translated term reaches against a given continuation by plain
 deterministic steps (no coin toss), which is what makes the simulations
 testable step-for-step.
 
+Each rule's continuation is built once, by one private helper that the
+translation and its colon form share, so the two cannot drift apart.
 Continuation binders come from the reserved k#<n> namespace, numbered
 from 1 in each top-level translation, so output is reproducible.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import count
 
 from .dist import SubDist
 from .reduction import CBN, CBV
@@ -23,67 +27,46 @@ from .syntax import Abs, App, Choice, Term, Var, is_value
 
 IDENTITY = Abs("x", Var("x"))
 
-
-class _KSupply:
-    def __init__(self):
-        self.counter = 0
-
-    def fresh(self) -> str:
-        self.counter += 1
-        return f"k#{self.counter}"
+_Fresh = Callable[[], str]  # each call hands out the next k#<n>
 
 
-def _toss(a: Term, b: Term, k: _KSupply) -> Term:
-    """(\\g. g a) (+) (\\g. g b) -- the translated coin toss."""
-    g1, g2 = k.fresh(), k.fresh()
-    return Choice(Abs(g1, App(Var(g1), a)), Abs(g2, App(Var(g2), b)))
+def _fresh() -> _Fresh:
+    return map("k#{}".format, count(1)).__next__
 
 
 # ---------- call-by-value source, call-by-name target ----------
 
 
-def _v2n(t: Term, k: _KSupply) -> Term:
-    match t:
-        case Var() | Abs():
-            e = k.fresh()
-            return Abs(e, App(Var(e), _psi(t, k)))
-        case App(fun, arg):
-            e, a, b = k.fresh(), k.fresh(), k.fresh()
-            return Abs(
-                e,
-                App(
-                    _v2n(fun, k),
-                    Abs(
-                        a,
-                        App(
-                            _v2n(arg, k),
-                            Abs(b, App(App(Var(a), Var(b)), Var(e))),
-                        ),
-                    ),
-                ),
-            )
-        case Choice(left, right):
-            e, a, b = k.fresh(), k.fresh(), k.fresh()
-            return Abs(
-                e,
-                App(
-                    _v2n(left, k),
-                    Abs(
-                        a,
-                        App(
-                            _v2n(right, k),
-                            Abs(
-                                b,
-                                App(_toss(Var(a), Var(b), k), Var(e)),
-                            ),
-                        ),
-                    ),
-                ),
-            )
-    raise TypeError(f"not a term: {t!r}")
+def _fire(t: Term, a: Term, b: Term, cont: Term, k: _Fresh) -> Term:
+    """a b K for an application t of the values a and b, and for a choice
+    the translated coin toss ((\\g. g a) (+) (\\g. g b)) K."""
+    if type(t) is App:
+        return App(App(a, b), cont)
+    g1, g2 = k(), k()
+    return App(Choice(Abs(g1, App(Var(g1), a)), Abs(g2, App(Var(g2), b))), cont)
 
 
-def _psi(v: Term, k: _KSupply) -> Term:
+def _rest(t: Term, n: Term, a: str, b: str, cont: Term, k: _Fresh) -> Term:
+    """\\a. <N> (\\b. fire): the continuation that receives t's first
+    part as a, then runs its second part N and fires on its value b."""
+    return Abs(a, App(_v2n(n, k), Abs(b, _fire(t, Var(a), Var(b), cont, k))))
+
+
+def _v2n(t: Term, k: _Fresh) -> Term:
+    if type(t) is App:
+        m, n = t._fun, t._arg
+    elif type(t) is Choice:
+        m, n = t._left, t._right
+    elif is_value(t):
+        e = k()
+        return Abs(e, App(Var(e), _psi(t, k)))
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    e, a, b = k(), k(), k()
+    return Abs(e, App(_v2n(m, k), _rest(t, n, a, b, Var(e), k)))
+
+
+def _psi(v: Term, k: _Fresh) -> Term:
     match v:
         case Var():
             return v
@@ -93,12 +76,12 @@ def _psi(v: Term, k: _KSupply) -> Term:
 
 
 def cps_v_to_n(t: Term) -> Term:
-    return _v2n(t, _KSupply())
+    return _v2n(t, _fresh())
 
 
 def psi(v: Term) -> Term:
     """Value translation: variables unchanged, \\x.M to \\x.<M translated>."""
-    return _psi(v, _KSupply())
+    return _psi(v, _fresh())
 
 
 def psi_dist(d: SubDist) -> SubDist:
@@ -113,51 +96,20 @@ def colon_v(t: Term, cont: Term) -> Term:
     """
     if not is_value(cont):
         raise ValueError(f"continuation must be a value: {cont}")
-    k = _KSupply()
+    k = _fresh()
 
     def colon(t: Term, cont: Term) -> Term:
         match t:
             case Var() | Abs():
                 return App(cont, _psi(t, k))
-            case App(fun, arg) if not is_value(fun):
-                a, b = k.fresh(), k.fresh()
-                return colon(
-                    fun,
-                    Abs(
-                        a,
-                        App(
-                            _v2n(arg, k),
-                            Abs(b, App(App(Var(a), Var(b)), cont)),
-                        ),
-                    ),
-                )
-            case App(fun, arg) if not is_value(arg):
-                b = k.fresh()
-                return colon(
-                    arg, Abs(b, App(App(_psi(fun, k), Var(b)), cont))
-                )
-            case App(fun, arg):
-                return App(App(_psi(fun, k), _psi(arg, k)), cont)
-            case Choice(left, right) if not is_value(left):
-                a, b = k.fresh(), k.fresh()
-                return colon(
-                    left,
-                    Abs(
-                        a,
-                        App(
-                            _v2n(right, k),
-                            Abs(b, App(_toss(Var(a), Var(b), k), cont)),
-                        ),
-                    ),
-                )
-            case Choice(left, right) if not is_value(right):
-                b = k.fresh()
-                return colon(
-                    right,
-                    Abs(b, App(_toss(_psi(left, k), Var(b), k), cont)),
-                )
-            case Choice(left, right):
-                return App(_toss(_psi(left, k), _psi(right, k), k), cont)
+            case App(m, n) | Choice(m, n) if not is_value(m):
+                a, b = k(), k()
+                return colon(m, _rest(t, n, a, b, cont, k))
+            case App(m, n) | Choice(m, n) if not is_value(n):
+                b = k()
+                return colon(n, Abs(b, _fire(t, _psi(m, k), Var(b), cont, k)))
+            case App(m, n) | Choice(m, n):
+                return _fire(t, _psi(m, k), _psi(n, k), cont, k)
         raise TypeError(f"not a term: {t!r}")
 
     return colon(t, cont)
@@ -166,42 +118,39 @@ def colon_v(t: Term, cont: Term) -> Term:
 # ---------- call-by-name source, call-by-value target ----------
 
 
-def _n2v(t: Term, k: _KSupply) -> Term:
-    match t:
-        case Var():
-            return t
-        case Abs(binder, body):
-            e = k.fresh()
-            return Abs(e, App(Var(e), Abs(binder, _n2v(body, k))))
-        case App(fun, arg):
-            e, a = k.fresh(), k.fresh()
-            return Abs(
-                e,
-                App(
-                    _n2v(fun, k),
-                    Abs(a, App(App(Var(a), _n2v(arg, k)), Var(e))),
-                ),
-            )
-        case Choice(left, right):
-            e, a, b = k.fresh(), k.fresh(), k.fresh()
-            return Abs(
-                e,
-                App(
-                    Choice(
-                        Abs(a, App(_n2v(left, k), Var(a))),
-                        Abs(b, App(_n2v(right, k), Var(b))),
-                    ),
-                    Var(e),
-                ),
-            )
+def _arg_cont(a: str, n: Term, cont: Term, k: _Fresh) -> Term:
+    """\\a. a <N> K: the continuation that applies the function value a
+    to the unevaluated argument N."""
+    return Abs(a, App(App(Var(a), _n2v(n, k)), cont))
+
+
+def _feeders(m: Term, n: Term, k: _Fresh) -> Term:
+    """(\\a. <M> a) (+) (\\b. <N> b): the toss picks which side the
+    continuation is fed to."""
+    a, b = k(), k()
+    return Choice(Abs(a, App(_n2v(m, k), Var(a))), Abs(b, App(_n2v(n, k), Var(b))))
+
+
+def _n2v(t: Term, k: _Fresh) -> Term:
+    if type(t) is App:
+        e, a = k(), k()
+        return Abs(e, App(_n2v(t._fun, k), _arg_cont(a, t._arg, Var(e), k)))
+    if type(t) is Choice:
+        e = k()
+        return Abs(e, App(_feeders(t._left, t._right, k), Var(e)))
+    if type(t) is Abs:
+        e = k()
+        return Abs(e, App(Var(e), Abs(t._binder, _n2v(t._body, k))))
+    if type(t) is Var:
+        return t
     raise TypeError(f"not a term: {t!r}")
 
 
 def cps_n_to_v(t: Term) -> Term:
-    return _n2v(t, _KSupply())
+    return _n2v(t, _fresh())
 
 
-def _phi(v: Term, k: _KSupply) -> Term:
+def _phi(v: Term, k: _Fresh) -> Term:
     match v:
         case Var():
             # not a value; callers relying on value-hood must keep v bound
@@ -212,7 +161,7 @@ def _phi(v: Term, k: _KSupply) -> Term:
 
 
 def phi(v: Term) -> Term:
-    return _phi(v, _KSupply())
+    return _phi(v, _fresh())
 
 
 def phi_dist(d: SubDist) -> SubDist:
@@ -224,28 +173,18 @@ def colon_n(t: Term, cont: Term) -> Term:
     reached by single-successor call-by-value steps alone."""
     if not is_value(cont):
         raise ValueError(f"continuation must be a value: {cont}")
-    k = _KSupply()
+    k = _fresh()
 
     def colon(t: Term, cont: Term) -> Term:
         match t:
             case Var() | Abs():
                 return App(cont, _phi(t, k))
-            case App(fun, arg) if not is_value(fun):
-                a = k.fresh()
-                return colon(
-                    fun, Abs(a, App(App(Var(a), _n2v(arg, k)), cont))
-                )
-            case App(fun, arg):
-                return App(App(_phi(fun, k), _n2v(arg, k)), cont)
+            case App(m, n) if not is_value(m):
+                return colon(m, _arg_cont(k(), n, cont, k))
+            case App(m, n):
+                return App(App(_phi(m, k), _n2v(n, k)), cont)
             case Choice(left, right):
-                a, b = k.fresh(), k.fresh()
-                return App(
-                    Choice(
-                        Abs(a, App(_n2v(left, k), Var(a))),
-                        Abs(b, App(_n2v(right, k), Var(b))),
-                    ),
-                    cont,
-                )
+                return App(_feeders(left, right, k), cont)
         raise TypeError(f"not a term: {t!r}")
 
     return colon(t, cont)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 from .dist import Dyadic, ONE, SubDist, ZERO, _subdist
 from .reduction import check_input, step
-from .syntax import OpenTermError  # re-exported: callers import it from here
 from .syntax import Abs, Term, Var, is_value, size
 
 DEFAULT_FRONTIER_CAP = 100_000

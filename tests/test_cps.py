@@ -1,12 +1,15 @@
 """Continuation translations between the two strategies."""
 
+import hashlib
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     deterministic_steps_to,
+    gate_terms,
     random_open_term,
     random_term,
     random_value,
@@ -27,7 +30,7 @@ from plam.cps import (
 from plam.dist import HALF, SubDist, from_value
 from plam.reduction import CBN, CBV
 from plam.smallstep import approximate
-from plam.syntax import App, Var, parse, print_term, size, substitute
+from plam.syntax import App, Var, is_value, parse, print_term, size, substitute
 
 XOR_PROGRAM = parse("(\\x. XOR x x) (TT (+) FF)")
 K_ID = parse("\\v. v")
@@ -103,6 +106,51 @@ def test_colon_pending_work_moves_into_the_continuation():
     assert print_term(got) == "x y (\\k#1. (\\k#3. k#3 z) (\\k#2. k#1 k#2 (\\v. v)))"
     got = colon_n(parse("(x y) z"), K_ID)
     assert print_term(got) == "x (\\y. y) y (\\k#1. k#1 z (\\v. v))"
+
+
+def test_colon_forms_need_a_value_continuation():
+    with pytest.raises(ValueError, match="continuation must be a value"):
+        colon_v(Var("x"), parse("f g"))
+    with pytest.raises(ValueError, match="continuation must be a value"):
+        colon_n(Var("x"), parse("f g"))
+
+
+def test_value_images_reject_non_values():
+    for image in (psi, phi):
+        with pytest.raises(ValueError, match="not a value"):
+            image(parse("f g"))
+
+
+def test_translations_reject_non_terms():
+    for translate in (cps_v_to_n, cps_n_to_v):
+        with pytest.raises(TypeError):
+            translate("x")
+
+
+# ---------- pinned output ----------
+
+# SHA-256 over the plain (non-canonical) printed output of both
+# translations, both colon forms against three continuations, and both
+# value images, on the gate terms plus seeded open terms.  The k#<n>
+# binder names are part of the output, so the digest pins the order in
+# which fresh names are handed out as well as the shapes.
+CPS_DIGEST = "f97eb6b150eef59f1967a17e4156ead0132de98867ae8949589a83e2144b991e"
+CPS_CONTINUATIONS = (K_ID, parse("\\k#1. k#1"), Var("z"))
+
+
+def test_cps_output_matches_the_pinned_digest():
+    rng = random.Random(20261019)
+    terms = gate_terms() + [random_open_term(rng, ["x", "y"], 25) for _ in range(300)]
+    digest = hashlib.sha256()
+    for t in terms:
+        out = [cps_v_to_n(t), cps_n_to_v(t)]
+        for k in CPS_CONTINUATIONS:
+            out += [colon_v(t, k), colon_n(t, k)]
+        if is_value(t):
+            out += [psi(t), phi(t)]
+        digest.update("\n".join(map(print_term, out)).encode())
+        digest.update(b"\n\n")
+    assert digest.hexdigest() == CPS_DIGEST
 
 
 # ---------- substitution laws ----------

@@ -10,8 +10,7 @@ from helpers import gate_terms, reference_sample_run
 from plam.encodings import FF, GEO, TT, decode_nat
 from plam.reduction import CBN, CBV, STRATEGIES
 from plam.sampler import RNG_ALGORITHM, estimate, sample_run
-from plam.smallstep import OpenTermError
-from plam.syntax import Choice, Var, parse, print_term
+from plam.syntax import Choice, OpenTermError, Var, parse, print_term
 
 
 class ScriptedBits:

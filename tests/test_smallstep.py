@@ -21,11 +21,10 @@ import plam.smallstep as smallstep
 from plam.smallstep import (
     Bracket,
     FrontierCapError,
-    OpenTermError,
     approximate,
     divergence_bracket,
 )
-from plam.syntax import Choice, Var, parse, print_term
+from plam.syntax import Choice, OpenTermError, Var, parse, print_term
 
 I = parse("\\x. x")
 XOR_PROGRAM = parse("(\\x. XOR x x) (TT (+) FF)")
