@@ -10,12 +10,15 @@ testable step-for-step.
 
 Each rule's continuation is built once, by one private helper that the
 translation and its colon form share, so the two cannot drift apart.
-Continuation binders come from the reserved k#<n> namespace, numbered
-from 1 in each top-level translation, so output is reproducible.
+Continuation binders come from the k#<n> namespace, numbered from 1 in
+each top-level translation, so output is reproducible; when the input
+already uses some k#<n> names (the parser accepts them), numbering
+starts past the largest such n, so no continuation binder captures one.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import count
@@ -30,8 +33,28 @@ IDENTITY = Abs("x", Var("x"))
 _Fresh = Callable[[], str]  # each call hands out the next k#<n>
 
 
-def _fresh() -> _Fresh:
-    return map("k#{}".format, count(1)).__next__
+_CONT_NAME = re.compile("k#([0-9]+)")
+
+
+def _fresh(*inputs: Term) -> _Fresh:
+    """k#<n> from n = 1, or from past the largest n the inputs already
+    use as a name, so that no continuation binder captures one."""
+    top = 0
+    stack = list(inputs)
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is App:
+            stack += (t._fun, t._arg)
+        elif kind is Choice:
+            stack += (t._left, t._right)
+        elif kind is Abs or kind is Var:
+            found = _CONT_NAME.fullmatch(t._binder if kind is Abs else t._name)
+            if found:
+                top = max(top, int(found[1]))
+            if kind is Abs:
+                stack.append(t._body)
+    return map("k#{}".format, count(top + 1)).__next__
 
 
 # ---------- call-by-value source, call-by-name target ----------
@@ -76,12 +99,12 @@ def _psi(v: Term, k: _Fresh) -> Term:
 
 
 def cps_v_to_n(t: Term) -> Term:
-    return _v2n(t, _fresh())
+    return _v2n(t, _fresh(t))
 
 
 def psi(v: Term) -> Term:
     """Value translation: variables unchanged, \\x.M to \\x.<M translated>."""
-    return _psi(v, _fresh())
+    return _psi(v, _fresh(v))
 
 
 def psi_dist(d: SubDist) -> SubDist:
@@ -96,7 +119,7 @@ def colon_v(t: Term, cont: Term) -> Term:
     """
     if not is_value(cont):
         raise ValueError(f"continuation must be a value: {cont}")
-    k = _fresh()
+    k = _fresh(t, cont)
 
     def colon(t: Term, cont: Term) -> Term:
         match t:
@@ -147,7 +170,7 @@ def _n2v(t: Term, k: _Fresh) -> Term:
 
 
 def cps_n_to_v(t: Term) -> Term:
-    return _n2v(t, _fresh())
+    return _n2v(t, _fresh(t))
 
 
 def _phi(v: Term, k: _Fresh) -> Term:
@@ -161,7 +184,7 @@ def _phi(v: Term, k: _Fresh) -> Term:
 
 
 def phi(v: Term) -> Term:
-    return _phi(v, _fresh())
+    return _phi(v, _fresh(v))
 
 
 def phi_dist(d: SubDist) -> SubDist:
@@ -173,7 +196,7 @@ def colon_n(t: Term, cont: Term) -> Term:
     reached by single-successor call-by-value steps alone."""
     if not is_value(cont):
         raise ValueError(f"continuation must be a value: {cont}")
-    k = _fresh()
+    k = _fresh(t, cont)
 
     def colon(t: Term, cont: Term) -> Term:
         match t:

@@ -5,6 +5,17 @@ for a beta step or a step inside a context, two (left then right, half
 probability each) when a choice between two values fires (call-by-value)
 or any choice fires (call-by-name).  Values get None.
 
+A step descends the evaluation context to its redex, and each stepper
+records in `graph`, a dict from term to successors, the successors of
+every term it steps: the one it was given and each context subterm it
+passed through.  Before descending into a subterm it looks the subterm
+up there (successor lists are never empty, so `graph.get(s) or ...`
+steps exactly the missing ones).  A caller that keeps one graph for a
+whole run, as the engines in `smallstep` do, thus reduces once each
+subterm that several states share or that recurs.  Terms key the graph
+up to alpha, and their keys and hashes are cached, so each level costs
+one lookup.
+
 Both steppers dispatch on `type()` and read the terms' slots: they run
 once per node of every evaluation context, where a class pattern would
 cost several times more.
@@ -23,36 +34,41 @@ class StuckTermError(RuntimeError):
     """No rule applies: a free variable sits in head position."""
 
 
-def step_cbv(t: Term) -> list[Term] | None:
+def step_cbv(t: Term, graph: dict) -> list[Term] | None:
     """Call-by-value: arguments are evaluated before beta, and both
     branches of a choice are evaluated before the coin is tossed."""
     kind = type(t)
     if kind is App:
         fun, arg = t._fun, t._arg
-        head = type(fun)
+        head, kind = type(fun), type(arg)
         if head is not Abs and head is not Var:
-            return [App(s, arg) for s in step_cbv(fun)]
-        kind = type(arg)
-        if kind is not Abs and kind is not Var:
-            return [App(fun, s) for s in step_cbv(arg)]
-        if head is Abs:
-            return [substitute(fun._body, fun._binder, arg)]
-        raise StuckTermError(f"variable in head position: {t}")
-    if kind is Choice:
+            succs = [App(s, arg) for s in graph.get(fun) or step_cbv(fun, graph)]
+        elif kind is not Abs and kind is not Var:
+            succs = [App(fun, s) for s in graph.get(arg) or step_cbv(arg, graph)]
+        elif head is Abs:
+            succs = [substitute(fun._body, fun._binder, arg)]
+        else:
+            raise StuckTermError(f"variable in head position: {t}")
+    elif kind is Choice:
         left, right = t._left, t._right
-        kind = type(left)
-        if kind is not Abs and kind is not Var:
-            return [Choice(s, right) for s in step_cbv(left)]
-        kind = type(right)
-        if kind is not Abs and kind is not Var:
-            return [Choice(left, s) for s in step_cbv(right)]
-        return [left, right]
-    if kind is Abs or kind is Var:
+        head, kind = type(left), type(right)
+        if head is not Abs and head is not Var:
+            succs = [Choice(s, right) for s in graph.get(left) or step_cbv(left, graph)]
+        elif kind is not Abs and kind is not Var:
+            succs = [
+                Choice(left, s) for s in graph.get(right) or step_cbv(right, graph)
+            ]
+        else:
+            succs = [left, right]
+    elif kind is Abs or kind is Var:
         return None
-    raise TypeError(f"not a term: {t!r}")
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    graph[t] = succs
+    return succs
 
 
-def step_cbn(t: Term) -> list[Term] | None:
+def step_cbn(t: Term, graph: dict) -> list[Term] | None:
     """Call-by-name: beta fires with the argument unevaluated, and a
     choice tosses the coin immediately."""
     kind = type(t)
@@ -60,23 +76,32 @@ def step_cbn(t: Term) -> list[Term] | None:
         fun = t._fun
         head = type(fun)
         if head is Abs:
-            return [substitute(fun._body, fun._binder, t._arg)]
-        if head is Var:
+            succs = [substitute(fun._body, fun._binder, t._arg)]
+        elif head is Var:
             raise StuckTermError(f"variable in head position: {t}")
-        arg = t._arg
-        return [App(s, arg) for s in step_cbn(fun)]
-    if kind is Choice:
-        return [t._left, t._right]
-    if kind is Abs or kind is Var:
+        else:
+            arg = t._arg
+            succs = [App(s, arg) for s in graph.get(fun) or step_cbn(fun, graph)]
+    elif kind is Choice:
+        succs = [t._left, t._right]
+    elif kind is Abs or kind is Var:
         return None
-    raise TypeError(f"not a term: {t!r}")
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    graph[t] = succs
+    return succs
 
 
-def step(t: Term, strategy: str) -> list[Term] | None:
+def step(t: Term, strategy: str, graph: dict | None = None) -> list[Term] | None:
+    """t's successors under strategy, recorded in graph (a throwaway
+    one when none is given) with those of every context subterm the
+    step passed through."""
+    if graph is None:
+        graph = {}
     if strategy == CBV:
-        return step_cbv(t)
+        return step_cbv(t, graph)
     if strategy == CBN:
-        return step_cbn(t)
+        return step_cbn(t, graph)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

@@ -6,12 +6,18 @@ at a fired choice and merging alpha-equivalent results; terms that have
 become values move into the lower approximant.  After `fuel` rounds the
 pending mass is the residual, so lower mass + residual = 1 exactly.
 
-A run steps each distinct state (up to alpha) once: `approximate` keeps
-its reduction graph, a dict from term to successors, for the length of
-the call, so a state that recurs in a later round (every cycling
-divergent term has such states) takes its stored successors, whose keys
-and hashes are already cached, and the round only merges masses.  The
-graph lives and dies with the call; nothing of it is kept on `Bracket`.
+A run reduces each distinct term (up to alpha) once: `approximate`
+keeps its reduction graph, a dict from term to successors, for the
+length of the call, and `reduction.step` adds an entry for every term it
+steps, the state and each evaluation-context subterm on the way to the
+redex.  A state that recurs in a later round (every cycling divergent
+term has such states) takes its stored successors, whose keys and hashes
+are already cached, and the round only merges masses; `step` is called
+once per state missing from the graph.  A context subterm that several
+states hold (under call-by-value, `F L (+) F R` leaves one state per
+outcome of `F L`, each still holding `F R`) is reduced for the first of
+them only.  The graph lives and dies with the call; nothing of it is
+kept on `Bracket`.
 
 Divergence brackets come from the same run: the upper bound is 1 minus
 the converged mass, i.e. the residual; the lower bound counts frontier
@@ -103,9 +109,7 @@ def approximate(
             break
         fresh: dict[Term, Dyadic] = {}
         for term, mass in frontier.items():
-            succs = graph.get(term)
-            if succs is None:
-                succs = graph[term] = step(term, strategy)
+            succs = graph.get(term) or step(term, strategy, graph)
             share = mass.half() if len(succs) == 2 else mass
             for s in succs:
                 # the value test and the mass merge, inlined: this runs
@@ -138,7 +142,7 @@ def _certified_divergent(
     """True when start's forward closure is finite, value-free and fully
     explored within CLOSURE_LIMIT states.  States in `divergent` are
     already certified and are not explored again; `graph` maps each
-    state already stepped to its successors."""
+    term already stepped, state or context subterm, to its successors."""
     # states in a finite closure cycle, so their sizes stay bounded; a
     # successor far larger than the start is evidence of unbounded growth
     # and is treated as a budget miss rather than chased further
@@ -156,10 +160,7 @@ def _certified_divergent(
         if is_value(term) or size(term) > size_bound:
             closed = False
             break
-        succs = graph.get(term)
-        if succs is None:
-            succs = graph[term] = step(term, strategy)
-        for s in succs:
+        for s in graph.get(term) or step(term, strategy, graph):
             if s not in seen:
                 seen.add(s)
                 queue.append(s)

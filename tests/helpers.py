@@ -117,9 +117,9 @@ def count_steps(monkeypatch) -> list[Term]:
     calls = []
     original = smallstep.step
 
-    def counted(term, strategy):
+    def counted(term, strategy, graph=None):
         calls.append(term)
-        return original(term, strategy)
+        return original(term, strategy, graph)
 
     monkeypatch.setattr(smallstep, "step", counted)
     return calls
@@ -160,8 +160,7 @@ def reference_approximate(
 
 def reference_divergence(b: Bracket) -> tuple[Dyadic, Dyadic]:
     """`b.divergence()` with a graph private to each closure instead of
-    one shared by all: a closure visits each state once, so nothing is
-    ever looked up, and every closure steps its states afresh."""
+    one shared by all, so no closure reuses what an earlier one stepped."""
     certified = ZERO
     divergent: set[Term] = set()
     for term, mass in b.frontier:

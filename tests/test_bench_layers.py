@@ -24,13 +24,16 @@ def test_every_traced_layer_resolves(monkeypatch):
 def test_the_tracer_records_the_term_core_layers(monkeypatch):
     # free names are built in the constructors and keys on first use, and
     # the walks reach step and substitute through module attributes; a
-    # layer that records no span would read 0 in the trace, not fail
+    # layer that records no span would read 0 in the trace, not fail.
+    # The divergence closures step the frontier states with a graph of
+    # their own, and `smallstep.closure_steps` counts those step spans
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spans = importlib.import_module("spans")
     from plam import reduction, smallstep, syntax
 
-    term = syntax.parse("(\\x. x x) (\\y. y (+) y)")
+    # W W steps to W W (+) W: a frontier state at every fuel
+    term = syntax.parse("(\\x. x x) (\\y. y y (+) y)")
     originals = (
         smallstep.approximate,
         syntax._alpha_key,
@@ -42,7 +45,7 @@ def test_the_tracer_records_the_term_core_layers(monkeypatch):
         tracer = spans.Tracer()
         tracer.install()
         try:
-            smallstep.approximate(term, strategy, 5)
+            smallstep.approximate(term, strategy, 5).divergence()
         finally:
             tracer.uninstall()
         recorded = {tracer.names[i] for i in tracer.name}
@@ -51,7 +54,10 @@ def test_the_tracer_records_the_term_core_layers(monkeypatch):
             "syntax.free_names",
             "syntax.substitute",
             "reduction.step",
+            "smallstep.closure",
         } <= recorded, strategy
+        metrics = tracer.per_layer({})
+        assert metrics["smallstep.closure_steps"][0] > 0, strategy
     assert (
         smallstep.approximate,
         syntax._alpha_key,

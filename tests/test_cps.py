@@ -134,7 +134,7 @@ def test_translations_reject_non_terms():
 # value images, on the gate terms plus seeded open terms.  The k#<n>
 # binder names are part of the output, so the digest pins the order in
 # which fresh names are handed out as well as the shapes.
-CPS_DIGEST = "f97eb6b150eef59f1967a17e4156ead0132de98867ae8949589a83e2144b991e"
+CPS_DIGEST = "0523acf7e98170ff9a5c7f0e51eb6c7884b35f3f438afe3ebd8c0f59d12858c4"
 CPS_CONTINUATIONS = (K_ID, parse("\\k#1. k#1"), Var("z"))
 
 
@@ -176,6 +176,30 @@ def test_term_substitution_commutes_with_the_n2v_translation(seed):
     assert cps_n_to_v(substitute(m, "x", n)) == substitute(
         cps_n_to_v(m), "x", cps_n_to_v(n)
     )
+
+
+# ---------- k#<n> names in the input ----------
+
+
+def test_continuation_binders_start_past_the_inputs_k_names():
+    assert print_term(psi(parse("\\k#1. k#1"))) == "\\k#1. \\k#2. k#2 k#1"
+    # a free k#1 stays free instead of being bound to the top continuation
+    assert "k#1" in cps_v_to_n(parse("\\y. k#1 y")).free_names
+    assert "k#4" in cps_n_to_v(parse("k#4 (+) y")).free_names
+    # colon forms count the continuation's names too
+    assert print_term(colon_v(Var("x"), parse("\\k#7. k#7"))) == "(\\k#7. k#7) x"
+    assert print_term(colon_v(parse("\\x. x"), parse("\\k#7. k#7"))) == (
+        "(\\k#7. k#7) (\\x. \\k#8. k#8 x)"
+    )
+    assert print_term(colon_n(parse("\\x. x y"), parse("\\k#3. k#3"))) == (
+        "(\\k#3. k#3) (\\x. \\k#4. x (\\k#5. k#5 y k#4))"
+    )
+
+
+@pytest.mark.parametrize("text", ["\\k#1. k#1", "(\\x. x) (\\k#1. k#1)"])
+def test_simulations_pass_on_terms_that_use_k_names(text):
+    assert check_simulation_v_by_n(parse(text), 20).status == "PASS"
+    assert check_simulation_n_by_v(parse(text), 20).status == "PASS"
 
 
 # ---------- administrative reduction reaches the colon form ----------

@@ -41,7 +41,7 @@ def test_cbn_beta_passes_unevaluated_arguments():
 
 
 def test_variables_are_values_in_argument_position():
-    assert step_cbv(App(I, Var("f"))) == [Var("f")]
+    assert step_cbv(App(I, Var("f")), {}) == [Var("f")]
 
 
 def test_cbv_choice_waits_for_both_branches():
@@ -65,9 +65,9 @@ def test_omega_loops_in_place():
 
 def test_stuck_head_variable():
     with pytest.raises(StuckTermError):
-        step_cbn(App(Var("f"), I))
+        step_cbn(App(Var("f"), I), {})
     with pytest.raises(StuckTermError):
-        step_cbv(App(Var("f"), I))
+        step_cbv(App(Var("f"), I), {})
 
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))

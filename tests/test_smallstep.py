@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from helpers import (
     count_steps,
     gate_terms,
+    random_fdt,
     random_term,
     reference_approximate,
     reference_divergence,
 )
 from plam.dist import HALF, ONE, ZERO, Dyadic, SubDist, from_value
-from plam.encodings import OMEGA, encode_nat
+from plam.encodings import MFDT, OMEGA, encode_nat, run_mfdt
+from plam import reduction
 from plam.reduction import CBN, CBV, STRATEGIES
 import plam.smallstep as smallstep
 from plam.smallstep import (
@@ -24,7 +26,7 @@ from plam.smallstep import (
     approximate,
     divergence_bracket,
 )
-from plam.syntax import Choice, OpenTermError, Var, parse, print_term
+from plam.syntax import Abs, App, Choice, OpenTermError, Var, parse, print_term
 
 I = parse("\\x. x")
 XOR_PROGRAM = parse("(\\x. XOR x x) (TT (+) FF)")
@@ -218,6 +220,45 @@ def test_the_graph_changes_no_result(strategy):
         )
         caps_hit += hit is not None
     assert caps_hit > 0
+
+
+def test_the_graph_changes_no_mfdt_result():
+    # MFDT's frontier states share the most context subterms: each
+    # settled left subtree leaves one state per outcome, all holding the
+    # same unreduced right subtree
+    rng = random.Random(20261020)
+    for _ in range(20):
+        tree = random_fdt(rng, 4)
+        for fuel in (40, 80, 120, 2000):
+            got = run_mfdt(tree, fuel)
+            want = reference_approximate(App(MFDT, tree), CBV, fuel)
+            where = (print_term(tree), fuel)
+            assert _canonical(got.lower.items()) == _canonical(
+                want.lower.items()
+            ), where
+            assert got.residual == want.residual, where
+            assert _canonical(got.frontier) == _canonical(want.frontier), where
+
+
+def test_a_context_subterm_shared_by_two_states_is_reduced_once(monkeypatch):
+    # the coin leaves TT R and FF R, and cbv reduces R = (\y. y) (\z. z)
+    # in both; the graph holds R's successors after the first
+    redex = parse("(\\y. y) (\\z. z)")
+    t = App(parse("TT (+) FF"), redex)
+    fired = []
+    original = reduction.substitute
+
+    def counted(body, var, replacement):
+        fired.append(App(Abs(var, body), replacement))
+        return original(body, var, replacement)
+
+    monkeypatch.setattr(reduction, "substitute", counted)
+    b = approximate(t, CBV, 10)
+    assert b.lower == SubDist({parse("\\y. \\z. z"): HALF, I: HALF})
+    assert fired.count(redex) == 1
+    fired.clear()
+    assert reference_approximate(t, CBV, 10) == b
+    assert fired.count(redex) == 2
 
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
