@@ -11,12 +11,15 @@ both branches have converged).  Call-by-name substitutes the unevaluated
 argument and splits a choice in half immediately.
 
 Results are memoized on (term, fuel) within one call; that cannot change
-any result because evaluation is pure.
+any result because evaluation is pure.  A value in function or
+call-by-value argument position is used as it stands rather than
+through its point distribution, and an application whose one beta redex
+has weight 1 returns that redex's result without copying it.
 """
 
 from __future__ import annotations
 
-from .dist import EMPTY, HALF, SubDist, combine, from_value
+from .dist import EMPTY, HALF, ONE, SubDist, combine, from_value
 from .reduction import CBV, check_input
 from .syntax import Abs, App, Term, Var, substitute
 
@@ -37,23 +40,36 @@ def eval_big(t: Term, strategy: str, fuel: int) -> SubDist:
         if cached is not None:
             return cached
         if kind is App:
-            arg = t._arg
-            d = go(t._fun, fuel - 1)
+            # a value operand stands for its own point distribution
+            fun, arg = t._fun, t._arg
+            kind = type(fun)
+            if kind is Abs or kind is Var:
+                funs = ((fun, ONE),)
+            else:
+                funs = go(fun, fuel - 1).items()
             if cbv:
-                e = go(arg, fuel - 1)
+                kind = type(arg)
+                if kind is Abs or kind is Var:
+                    args = ((arg, ONE),)
+                else:
+                    args = go(arg, fuel - 1).items()
                 parts = [
                     (mf * mv, go(substitute(f._body, f._binder, v), fuel - 1))
-                    for f, mf in d.items()
+                    for f, mf in funs
                     if type(f) is Abs
-                    for v, mv in e.items()
+                    for v, mv in args
                 ]
             else:
                 parts = [
                     (mf, go(substitute(f._body, f._binder, arg), fuel - 1))
-                    for f, mf in d.items()
+                    for f, mf in funs
                     if type(f) is Abs
                 ]
-            result = combine(parts)
+            # a single part of weight 1 is the answer as it stands
+            if len(parts) == 1 and parts[0][0] == ONE:
+                result = parts[0][1]
+            else:
+                result = combine(parts)
         else:  # a choice
             d = go(t._left, fuel - 1)
             e = go(t._right, fuel - 1)

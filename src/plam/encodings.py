@@ -10,6 +10,10 @@ finite dyadic tree helpers: such a tree is either a leaf \\x.\\y. x <n>
 holding a numeral or a node \\x.\\y. y M N over two subtrees, and pd
 gives the distribution it denotes (half the left pd plus half the
 right).
+
+The two readers, `decode_nat` and `fdt_shape`, test `type()` and read
+the terms' slots instead of matching nested class patterns: `run_mfdt`
+reads the whole tree, every leaf's numeral included, before each run.
 """
 
 from __future__ import annotations
@@ -47,13 +51,21 @@ def decode_nat(t: Term) -> int | None:
     """Inverse of encode_nat up to alpha; None for non-numerals."""
     n = 0
     while True:
-        match t:
-            case Abs(x, Abs(y, Var(h))) if h == x != y:
-                return n
-            case Abs(_, Abs(y, App(Var(h), inner))) if h == y:
-                t, n = inner, n + 1
-            case _:
-                return None
+        if type(t) is not Abs:
+            return None
+        x, inner = t._binder, t._body
+        if type(inner) is not Abs:
+            return None
+        y, body = inner._binder, inner._body
+        kind = type(body)
+        if kind is Var:  # zero, \x. \y. x
+            return n if body._name == x != y else None
+        if kind is not App:
+            return None
+        head = body._fun
+        if type(head) is not Var or head._name != y:
+            return None
+        t, n = body._arg, n + 1  # a successor, \x. \y. y <n>
 
 
 def encode_bits(bits: str) -> Term:
@@ -109,19 +121,30 @@ def node(left: Term, right: Term) -> Term:
 
 def fdt_shape(t: Term):
     """('leaf', n), ('node', left, right), or None."""
-    match t:
-        case Abs(x, Abs(y, App(Var(h), arg))) if h == x and x != y:
-            if arg.free_names:
-                return None
-            n = decode_nat(arg)
-            return None if n is None else ("leaf", n)
-        case Abs(x, Abs(y, App(App(Var(h), l), r))) if h == y:
-            if l.free_names or r.free_names:
-                return None
-            if fdt_shape(l) is None or fdt_shape(r) is None:
-                return None
-            return ("node", l, r)
-    return None
+    if type(t) is not Abs:
+        return None
+    x, inner = t._binder, t._body
+    if type(inner) is not Abs:
+        return None
+    y, body = inner._binder, inner._body
+    if type(body) is not App:
+        return None
+    head, arg = body._fun, body._arg
+    kind = type(head)
+    if kind is Var:  # a leaf, \x. \y. x <n>
+        if head._name != x or x == y or arg._free:
+            return None
+        n = decode_nat(arg)
+        return None if n is None else ("leaf", n)
+    if kind is not App:
+        return None
+    # a node, \x. \y. y <left> <right>
+    fun, left = head._fun, head._arg
+    if type(fun) is not Var or fun._name != y or left._free or arg._free:
+        return None
+    if fdt_shape(left) is None or fdt_shape(arg) is None:
+        return None
+    return ("node", left, arg)
 
 
 def is_fdt(t: Term) -> bool:

@@ -13,12 +13,15 @@ up there (successor lists are never empty, so `graph.get(s) or ...`
 steps exactly the missing ones).  A caller that keeps one graph for a
 whole run, as the engines in `smallstep` do, thus reduces once each
 subterm that several states share or that recurs.  Terms key the graph
-up to alpha, and their keys and hashes are cached, so each level costs
-one lookup.
+up to alpha, and their hashes are cached, so each level costs one
+lookup; an application's key is built only when the lookup meets a
+distinct term with its hash.
 
 Both steppers dispatch on `type()` and read the terms' slots: they run
 once per node of every evaluation context, where a class pattern would
-cost several times more.
+cost several times more.  For the same reason they build the one or two
+successors of a context directly: a list comprehension is a function
+call of its own in CPython 3.11.
 """
 
 from __future__ import annotations
@@ -42,9 +45,17 @@ def step_cbv(t: Term, graph: dict) -> list[Term] | None:
         fun, arg = t._fun, t._arg
         head, kind = type(fun), type(arg)
         if head is not Abs and head is not Var:
-            succs = [App(s, arg) for s in graph.get(fun) or step_cbv(fun, graph)]
+            inner = graph.get(fun) or step_cbv(fun, graph)
+            if len(inner) == 1:
+                succs = [App(inner[0], arg)]
+            else:
+                succs = [App(inner[0], arg), App(inner[1], arg)]
         elif kind is not Abs and kind is not Var:
-            succs = [App(fun, s) for s in graph.get(arg) or step_cbv(arg, graph)]
+            inner = graph.get(arg) or step_cbv(arg, graph)
+            if len(inner) == 1:
+                succs = [App(fun, inner[0])]
+            else:
+                succs = [App(fun, inner[0]), App(fun, inner[1])]
         elif head is Abs:
             succs = [substitute(fun._body, fun._binder, arg)]
         else:
@@ -53,11 +64,17 @@ def step_cbv(t: Term, graph: dict) -> list[Term] | None:
         left, right = t._left, t._right
         head, kind = type(left), type(right)
         if head is not Abs and head is not Var:
-            succs = [Choice(s, right) for s in graph.get(left) or step_cbv(left, graph)]
+            inner = graph.get(left) or step_cbv(left, graph)
+            if len(inner) == 1:
+                succs = [Choice(inner[0], right)]
+            else:
+                succs = [Choice(inner[0], right), Choice(inner[1], right)]
         elif kind is not Abs and kind is not Var:
-            succs = [
-                Choice(left, s) for s in graph.get(right) or step_cbv(right, graph)
-            ]
+            inner = graph.get(right) or step_cbv(right, graph)
+            if len(inner) == 1:
+                succs = [Choice(left, inner[0])]
+            else:
+                succs = [Choice(left, inner[0]), Choice(left, inner[1])]
         else:
             succs = [left, right]
     elif kind is Abs or kind is Var:
@@ -81,7 +98,11 @@ def step_cbn(t: Term, graph: dict) -> list[Term] | None:
             raise StuckTermError(f"variable in head position: {t}")
         else:
             arg = t._arg
-            succs = [App(s, arg) for s in graph.get(fun) or step_cbn(fun, graph)]
+            inner = graph.get(fun) or step_cbn(fun, graph)
+            if len(inner) == 1:
+                succs = [App(inner[0], arg)]
+            else:
+                succs = [App(inner[0], arg), App(inner[1], arg)]
     elif kind is Choice:
         succs = [t._left, t._right]
     elif kind is Abs or kind is Var:

@@ -11,8 +11,8 @@ keeps its reduction graph, a dict from term to successors, for the
 length of the call, and `reduction.step` adds an entry for every term it
 steps, the state and each evaluation-context subterm on the way to the
 redex.  A state that recurs in a later round (every cycling divergent
-term has such states) takes its stored successors, whose keys and hashes
-are already cached, and the round only merges masses; `step` is called
+term has such states) takes its stored successors, whose hashes are
+already cached, and the round only merges masses; `step` is called
 once per state missing from the graph.  A context subterm that several
 states hold (under call-by-value, `F L (+) F R` leaves one state per
 outcome of `F L`, each still holding `F R`) is reduced for the first of
@@ -113,11 +113,15 @@ def approximate(
             share = mass.half() if len(succs) == 2 else mass
             for s in succs:
                 # the value test and the mass merge, inlined: this runs
-                # once per successor of every state in every round
+                # once per successor of every state in every round.  A
+                # new state costs one dict probe; a known one grows no
+                # entry and takes the sum.
                 kind = type(s)
                 table = lower if kind is Abs or kind is Var else fresh
-                prev = table.get(s)
-                table[s] = share if prev is None else prev + share
+                count = len(table)
+                prev = table.setdefault(s, share)
+                if len(table) == count:
+                    table[s] = prev + share
         if len(fresh) > frontier_cap:
             raise FrontierCapError(frontier_cap, round_no, len(fresh))
         frontier = fresh

@@ -5,20 +5,25 @@ terms can be used directly as keys of distributions; the nameless key
 that decides it is private to this module.
 
 Terms are `__slots__` objects without an instance dict.  The
-constructors build free names and size from the children's.  The key
-and the hash are filled together on a term's first comparison or hash,
-from the children's stored pairs: the hash is composed from the
+constructors build free names and size from the children's; nothing is
+hashed or keyed at construction.  The hash is composed from the
 children's hashes (Filliâtre & Conchon, "Type-Safe Modular
-Hash-Consing", 2006), so hashing never walks a key tuple.  Fields are
-read-only properties over private slots.
+Hash-Consing", 2006), so hashing never walks a key tuple.  A variable
+or an abstraction fills its key and hash together on its first
+comparison or hash.  An application or a choice fills only its hash on
+its first hash, and builds its key, from its children's, on its first
+equality test against a distinct term with the same hash: a dict
+compares keys only then, so most states and context subterms of a run
+are never keyed.  Fields are read-only properties over private slots.
 
 The hot walks (free names, keys, substitution, and the steppers, the
-big-step engine and the sampler's machines in their modules) dispatch on
-`type(t)` and read the slots directly: a class pattern with two
-subpatterns costs about ten times a type test and two slot reads, and a
-property read costs more than a slot read.  `__match_args__` names the
-slots for the cold walks (printing, canonical forms, the CPS
-translations, the encodings), which keep their `match` statements.
+big-step engine, the sampler's machines and the finite dyadic tree
+readers in their modules) dispatch on `type(t)` and read the slots
+directly: a class pattern with two subpatterns costs about ten times a
+type test and two slot reads, and a property read costs more than a slot
+read.  `__match_args__` names the slots for the cold walks (printing,
+canonical forms, the CPS translations, the other encodings), which keep
+their `match` statements.
 
 The concrete syntax is
 
@@ -61,8 +66,8 @@ class OpenTermError(ValueError):
 
 
 class Term:
-    """Base class for Var, Abs, App and Choice.  `_key` is None until
-    `_alpha_key` fills `_key` and `_hash`."""
+    """Base class for Var, Abs, App and Choice.  `_hash` and `_key` are
+    None until `_alpha_key` fills them in."""
 
     __slots__ = ("_free", "_size", "_key", "_hash")
     __match_args__ = ()
@@ -74,21 +79,27 @@ class Term:
             return True
         if not isinstance(other, Term):
             return NotImplemented
+        if self._hash is None:
+            _alpha_key(self)
+        if other._hash is None:
+            _alpha_key(other)
+        if self._hash != other._hash:
+            return False
         if self._key is None:
             _alpha_key(self)
         if other._key is None:
             _alpha_key(other)
-        return self._hash == other._hash and self._key == other._key
+        return self._key == other._key
 
     def __hash__(self):
-        if self._key is None:
+        if self._hash is None:
             _alpha_key(self)
         return self._hash
 
     @property
     def alpha_key(self):
         """Nameless form: identical keys exactly for alpha-equivalent terms."""
-        if self._key is None:
+        while self._key is None:
             _alpha_key(self)
         return self._key
 
@@ -105,7 +116,7 @@ class Var(Term):
         self._name = name
         self._free = _free_names(self)
         self._size = 1
-        self._key = None
+        self._key = self._hash = None
 
 
 class Abs(Term):
@@ -119,7 +130,7 @@ class Abs(Term):
         self._body = body
         self._free = _free_names(self)
         self._size = body._size + 1
-        self._key = None
+        self._key = self._hash = None
 
 
 class App(Term):
@@ -133,7 +144,7 @@ class App(Term):
         self._arg = arg
         self._free = _free_names(self)
         self._size = fun._size + arg._size + 1
-        self._key = None
+        self._key = self._hash = None
 
 
 class Choice(Term):
@@ -147,7 +158,7 @@ class Choice(Term):
         self._right = right
         self._free = _free_names(self)
         self._size = left._size + right._size + 1
-        self._key = None
+        self._key = self._hash = None
 
 
 def is_value(t: Term) -> bool:
@@ -156,23 +167,36 @@ def is_value(t: Term) -> bool:
 
 
 def _alpha_key(t: Term) -> None:
-    """Store t's nameless key and its hash: ("f", name) for a free
-    variable, ("b", i) for the variable bound i binders up, and
-    ("l", body), ("a", fun, arg), ("c", left, right).  Children's keys
-    are taken as stored, and the hash is composed from theirs, so no key
-    tuple is walked."""
+    """Fill in t's hash, or its nameless key once it has a hash.  Keys
+    are ("f", name) for a free variable, ("b", i) for the variable bound
+    i binders up, and ("l", body), ("a", fun, arg), ("c", left, right).
+
+    An application or a choice gets its hash on the first call, composed
+    from its children's hashes, and its key on the second, from its
+    children's keys: a dict compares the keys of two terms only when
+    their hashes are equal, so most applications never build a key.  A
+    variable or an abstraction gets both on the first call, in one walk
+    of its body; values are what sub-distributions and the sampler's
+    counts hold and compare.  No key tuple is walked."""
     kind = type(t)
     if kind is App or kind is Choice:
         if kind is App:
             tag, fun, arg = "a", t._fun, t._arg
         else:
             tag, fun, arg = "c", t._left, t._right
-        if fun._key is None:
-            _alpha_key(fun)
-        if arg._key is None:
-            _alpha_key(arg)
-        t._key = (tag, fun._key, arg._key)
-        t._hash = hash((tag, fun._hash, arg._hash))
+        if t._hash is None:
+            # a term with a hash has children with hashes
+            if fun._hash is None:
+                _alpha_key(fun)
+            if arg._hash is None:
+                _alpha_key(arg)
+            t._hash = hash((tag, fun._hash, arg._hash))
+        else:
+            if fun._key is None:
+                _alpha_key(fun)
+            if arg._key is None:
+                _alpha_key(arg)
+            t._key = (tag, fun._key, arg._key)
     elif kind is Abs:
         key, h = _bound_key(t._body, (t._binder,))
         t._key, t._hash = ("l", key), hash(("l", h))
@@ -185,7 +209,7 @@ def _bound_key(t: Term, bound: tuple[str, ...]):
     """(key, hash) of t under the binders `bound`, innermost first.  A
     subterm with none of them free gives back its own stored pair."""
     if t._free.isdisjoint(bound):
-        if t._key is None:
+        while t._key is None:
             _alpha_key(t)
         return t._key, t._hash
     kind = type(t)

@@ -1,6 +1,8 @@
 """Seeded random generators shared across the test suite, the
-graph-free round loop `approximate` is checked against, and the
-small-step walker the sampler's machines are checked against.
+graph-free round loop `approximate` is checked against, the small-step
+walker the sampler's machines are checked against, and the
+pattern-matching tree readers the encodings' readers are checked
+against.
 
 Everything takes an explicit random.Random so each suite pins its own
 seed and stays reproducible run to run.
@@ -167,3 +169,33 @@ def reference_divergence(b: Bracket) -> tuple[Dyadic, Dyadic]:
         if smallstep._certified_divergent(term, b.strategy, divergent, {}):
             certified = certified + mass
     return certified, b.residual
+
+
+def reference_decode_nat(t: Term) -> int | None:
+    """`encodings.decode_nat` by class patterns."""
+    n = 0
+    while True:
+        match t:
+            case Abs(x, Abs(y, Var(h))) if h == x != y:
+                return n
+            case Abs(_, Abs(y, App(Var(h), inner))) if h == y:
+                t, n = inner, n + 1
+            case _:
+                return None
+
+
+def reference_fdt_shape(t: Term):
+    """`encodings.fdt_shape` by class patterns."""
+    match t:
+        case Abs(x, Abs(y, App(Var(h), arg))) if h == x and x != y:
+            if arg.free_names:
+                return None
+            n = reference_decode_nat(arg)
+            return None if n is None else ("leaf", n)
+        case Abs(x, Abs(y, App(App(Var(h), l), r))) if h == y:
+            if l.free_names or r.free_names:
+                return None
+            if reference_fdt_shape(l) is None or reference_fdt_shape(r) is None:
+                return None
+            return ("node", l, r)
+    return None

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from helpers import random_fdt, random_value
+from helpers import (
+    random_fdt,
+    random_open_term,
+    random_term,
+    random_value,
+    reference_decode_nat,
+    reference_fdt_shape,
+)
 from plam.bigstep import eval_big
 from plam.dist import HALF, ONE, ZERO, Dyadic, SubDist, from_value
 from plam.encodings import (
@@ -151,6 +158,80 @@ def test_tree_recognizer():
 def test_node_rejects_non_tree_children():
     with pytest.raises(FdtError):
         node(leaf(0), parse("\\x. x"))
+
+
+# near misses of the two readers, with the answer of each
+_NEAR_MISSES = [
+    # shadowed binders: the head is the inner binder
+    ("\\x. \\x. x", None, None),
+    ("\\x. \\x. x (NAT 1)", 2, None),
+    ("\\y. \\y. y (NAT 2)", 3, None),
+    ("\\y. \\y. y (\\a. \\b. a (NAT 0)) (\\a. \\b. a (NAT 1))", None, "node"),
+    # a head bound by the wrong binder
+    ("\\x. \\y. y (NAT 0)", 1, None),
+    ("\\x. \\y. x (\\a. \\b. a (NAT 0)) (\\a. \\b. a (NAT 1))", None, None),
+    ("\\x. \\y. y (\\a. \\b. b (NAT 0)) (\\a. \\b. a (NAT 1))", None, None),
+    # open subtrees
+    ("\\x. \\y. y (\\a. \\b. a (NAT 0)) (\\a. \\b. x (NAT 1))", None, None),
+    ("\\x. \\y. y (\\a. \\b. a (NAT 0)) (\\a. \\b. a y)", None, None),
+    # a numeral with a free inner variable
+    ("\\x. \\y. x (\\a. \\b. b (\\c. \\d. y))", None, None),
+    ("\\x. \\y. x (\\a. \\b. b (\\c. \\d. a))", None, None),
+    ("\\a. \\b. b (\\c. \\d. a)", None, None),
+    # the two readers' own shapes, for contrast
+    ("\\x. \\y. x (NAT 4)", None, "leaf"),
+    ("\\a. \\b. b (\\c. \\d. c)", 1, None),
+]
+
+
+@pytest.mark.parametrize("text, number, shape", _NEAR_MISSES)
+def test_tree_readers_on_near_misses(text, number, shape):
+    t = parse(text)
+    assert decode_nat(t) == reference_decode_nat(t) == number
+    got = fdt_shape(t)
+    assert got == reference_fdt_shape(t)
+    assert (got and got[0]) == shape
+    if shape is None:
+        with pytest.raises(FdtError):
+            run_mfdt(t, 10)
+
+
+def _tree_look_alike(rng: random.Random, depth: int):
+    """A tree's shape with binders drawn from three names, so shadowing is
+    common, heads drawn from the two binders and a free name, and leaves
+    over numeral look-alikes or open terms in the tree's binders."""
+    x, y = rng.choice("xyz"), rng.choice("xyz")
+    head = Var(rng.choice((x, y, y, "w")))
+    if depth == 0 or rng.random() < 0.4:
+        if rng.random() < 0.2:
+            arg = random_open_term(rng, [x, y], 6)
+        else:
+            arg = _numeral_look_alike(rng, rng.randint(0, 3))
+        return Abs(x, Abs(y, App(head, arg)))
+    left = _tree_look_alike(rng, depth - 1)
+    right = _tree_look_alike(rng, depth - 1)
+    return Abs(x, Abs(y, App(App(head, left), right)))
+
+
+def test_tree_readers_agree_with_the_pattern_references():
+    rng = random.Random(20261020)
+    makers = (
+        lambda: random_term(rng, 30),
+        lambda: random_fdt(rng, 3),
+        lambda: _tree_look_alike(rng, 3),
+        lambda: _numeral_look_alike(rng, rng.randint(0, 5)),
+    )
+    shapes = {None: 0, "leaf": 0, "node": 0}
+    numbers = 0
+    for _ in range(500):
+        for make in makers:
+            t = make()
+            got = fdt_shape(t)
+            assert got == reference_fdt_shape(t), print_term(t)
+            assert decode_nat(t) == reference_decode_nat(t), print_term(t)
+            shapes[got and got[0]] += 1
+            numbers += decode_nat(t) is not None
+    assert min(shapes.values()) > 100 and numbers > 100, (shapes, numbers)
 
 
 def test_denoted_distribution_examples():

@@ -247,6 +247,102 @@ def test_alpha_equal_terms_hash_equal(t):
         assert hash(u) == hash(canonicalize(u)) == hash(_rename_binders(u))
 
 
+def _copy(t):
+    """t rebuilt node by node: equal to t, sharing no node with it."""
+    match t:
+        case Var(name):
+            return Var(name)
+        case Abs(binder, body):
+            return Abs(binder, _copy(body))
+        case App(fun, arg):
+            return App(_copy(fun), _copy(arg))
+        case Choice(left, right):
+            return Choice(_copy(left), _copy(right))
+
+
+def _reference_canonical(t, scope=(), names=None):
+    """`canonicalize` by a walk of the named term: binders become x0, x1,
+    ... in preorder, skipping t's free names."""
+    if names is None:
+        names = (n for n in map("x{}".format, range(10**6)) if n not in t.free_names)
+    match t:
+        case Var(name):
+            return Var(next((new for old, new in scope if old == name), name))
+        case Abs(binder, body):
+            new = next(names)
+            return Abs(new, _reference_canonical(body, ((binder, new), *scope), names))
+        case App(fun, arg):
+            fun = _reference_canonical(fun, scope, names)
+            return App(fun, _reference_canonical(arg, scope, names))
+        case Choice(left, right):
+            left = _reference_canonical(left, scope, names)
+            return Choice(left, _reference_canonical(right, scope, names))
+
+
+def test_an_application_is_hashed_without_a_key():
+    t = App(OMEGA, Choice(TT, Var("x")))
+    assert t._hash is None and t._key is None
+    hash(t)
+    assert t._key is None and t._arg._key is None
+    assert t._fun._key is not None  # OMEGA, keyed by earlier uses
+    # equality against a distinct term with the same hash builds the keys
+    u = _copy(t)
+    assert u == t
+    assert t._key == u._key == de_bruijn(t)
+    # a term with another hash is told apart without a key
+    v = App(OMEGA, Choice(TT, Var("y")))
+    assert v != t and v._key is None
+
+
+_COMPOUND = st.one_of(
+    st.builds(App, _SHADOWING_TERMS, _SHADOWING_TERMS),
+    st.builds(Choice, _SHADOWING_TERMS, _SHADOWING_TERMS),
+)
+_FIRST_CALLS = st.permutations(("hash a", "hash b", "a == b", "b == a", "key a", "key b"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COMPOUND, st.one_of(_COMPOUND, st.none()), st.booleans(), _FIRST_CALLS)
+def test_lazy_keys_agree_whatever_is_asked_first(a, other, rename, order):
+    assert a._hash is None and a._key is None
+    # b is built apart from a: a renamed or plain copy, or another term
+    if other is None:
+        b = _rename_binders(a) if rename else _copy(a)
+    else:
+        b = other
+    answers = {}
+    for call in order:
+        if call == "hash a":
+            answers[call] = hash(a)
+        elif call == "hash b":
+            answers[call] = hash(b)
+        elif call == "a == b":
+            answers[call] = a == b
+        elif call == "b == a":
+            answers[call] = b == a
+        else:
+            answers[call] = (a if call == "key a" else b).alpha_key
+    same = print_term(a, canonical=True) == print_term(b, canonical=True)
+    assert answers["a == b"] == answers["b == a"] == same
+    assert same == (de_bruijn(a) == de_bruijn(b))
+    if same:
+        assert answers["hash a"] == answers["hash b"]
+    assert answers["key a"] == de_bruijn(a) and answers["key b"] == de_bruijn(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COMPOUND)
+def test_an_application_only_ever_hashed_keys_and_canonicalizes(t):
+    hash(t)
+    assert t._key is None
+    assert t.alpha_key == de_bruijn(t)
+    u = _copy(t)
+    hash(u)
+    c = canonicalize(u)
+    assert print_term(c) == print_term(_reference_canonical(t))
+    assert de_bruijn(c) == de_bruijn(t)
+
+
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 def test_deep_numerals_evaluate(strategy):
     t = parse("NAT 2000")
