@@ -111,18 +111,24 @@ def _bracket_json(bracket, low, up) -> dict:
     return obj
 
 
-def _show_dist(d: SubDist) -> None:
+def _show_dist(d: SubDist) -> list[str]:
+    lines = []
     for v in d.support():
         m = d.get(v)
-        print(f"  {print_term(v, canonical=True)}  {m}  (~{float(m):.6g})")
+        lines.append(f"  {print_term(v, canonical=True)}  {m}  (~{float(m):.6g})")
+    return lines
 
 
-def _cmd_parse(args) -> int:
-    print(print_term(parse(args.term), canonical=True))
-    return EXIT_OK
+# Each command returns its exit code and the lines of its output, which
+# `main` writes only once the whole text is rendered: a command that
+# fails part way prints nothing to stdout.
 
 
-def _cmd_eval(args) -> int:
+def _cmd_parse(args) -> tuple[int, list[str]]:
+    return EXIT_OK, [print_term(parse(args.term), canonical=True)]
+
+
+def _cmd_eval(args) -> tuple[int, list[str]]:
     term = parse(args.term)
     if args.engine == "big":
         # the big-step engine keeps no frontier, but a cap it cannot
@@ -135,109 +141,103 @@ def _cmd_eval(args) -> int:
             obj["strategy"] = args.strategy
             obj["engine"] = "big"
             obj["fuel"] = args.fuel
-            print(json.dumps(obj))
-        else:
-            print(f"big-step {args.strategy}, fuel {args.fuel}:")
-            _show_dist(d)
-            print(f"  mass {d.mass()}")
-        return EXIT_OK
+            return EXIT_OK, [json.dumps(obj)]
+        return EXIT_OK, [
+            f"big-step {args.strategy}, fuel {args.fuel}:",
+            *_show_dist(d),
+            f"  mass {d.mass()}",
+        ]
     bracket = approximate(term, args.strategy, args.fuel, args.frontier_cap)
     low, up = bracket.divergence()
     if args.json:
         obj = _bracket_json(bracket, low, up)
         obj["engine"] = "small"
-        print(json.dumps(obj))
-    else:
-        print(f"small-step {args.strategy}, fuel {args.fuel}:")
-        _show_dist(bracket.lower)
-        print(f"  mass {bracket.lower.mass()}, residual {bracket.residual}")
-        print(f"  divergence in [{low}, {up}]")
-    return EXIT_OK
+        return EXIT_OK, [json.dumps(obj)]
+    return EXIT_OK, [
+        f"small-step {args.strategy}, fuel {args.fuel}:",
+        *_show_dist(bracket.lower),
+        f"  mass {bracket.lower.mass()}, residual {bracket.residual}",
+        f"  divergence in [{low}, {up}]",
+    ]
 
 
-def _cmd_diverge(args) -> int:
+def _cmd_diverge(args) -> tuple[int, list[str]]:
     term = parse(args.term)
     low, up = divergence_bracket(term, args.strategy, args.fuel, args.frontier_cap)
     if args.json:
-        print(json.dumps({"lower": low.to_json(), "upper": up.to_json()}))
-    else:
-        print(f"divergence probability in [{low}, {up}]")
-    return EXIT_OK
+        return EXIT_OK, [json.dumps({"lower": low.to_json(), "upper": up.to_json()})]
+    return EXIT_OK, [f"divergence probability in [{low}, {up}]"]
 
 
-def _cmd_cps(args) -> int:
+def _cmd_cps(args) -> tuple[int, list[str]]:
     term = parse(args.term)
     translate = cps.cps_v_to_n if args.direction == "v2n" else cps.cps_n_to_v
     result = translate(term)
     if args.apply_id:
         result = App(result, cps.IDENTITY)
-    print(print_term(result))
-    return EXIT_OK
+    return EXIT_OK, [print_term(result)]
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> tuple[int, list[str]]:
     term = parse(args.term)
     result = sampler.estimate(
         term, args.strategy, args.samples, args.max_steps, args.seed
     )
     if args.json:
-        print(json.dumps(result.to_json()))
-    else:
-        print(
-            f"{args.samples} samples, {args.strategy}, seed {args.seed} "
-            f"({result.algorithm}):"
-        )
-        for v, c in sorted_by_term(result.counts.items()):
-            print(
-                f"  {print_term(v, canonical=True)}  {c}  (~{c / args.samples:.6g})"
-            )
-        print(f"  timeouts {result.timeouts} (~{float(result.timeout_rate):.6g})")
-    return EXIT_OK
+        return EXIT_OK, [json.dumps(result.to_json())]
+    return EXIT_OK, [
+        f"{args.samples} samples, {args.strategy}, seed {args.seed} "
+        f"({result.algorithm}):",
+        *(
+            f"  {print_term(v, canonical=True)}  {c}  (~{c / args.samples:.6g})"
+            for v, c in sorted_by_term(result.counts.items())
+        ),
+        f"  timeouts {result.timeouts} (~{float(result.timeout_rate):.6g})",
+    ]
 
 
-def _cmd_encode(args) -> int:
+def _cmd_encode(args) -> tuple[int, list[str]]:
     if args.what == "nat":
-        print(print_term(encodings.encode_nat(args.n)))
-        return EXIT_OK
+        return EXIT_OK, [print_term(encodings.encode_nat(args.n))]
     try:
         raw = json.loads(args.dist)
         d = {int(k): Dyadic.from_json(v) for k, v in raw.items()}
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise _UsageError(f"bad distribution JSON: {exc}") from exc
-    print(print_term(encodings.fdt_from_dist(d)))
-    return EXIT_OK
+    return EXIT_OK, [print_term(encodings.fdt_from_dist(d))]
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args) -> tuple[int, list[str]]:
+    lines = []
     if args.which == "xor":
         program = "(\\x. XOR x x) (TT (+) FF)"
         term = parse(program)
-        print(f"program: {program}")
+        lines.append(f"program: {program}")
         for strategy in (CBV, CBN):
             bracket = approximate(term, strategy, 50)
-            print(f"{strategy} (copies {'the coin outcome' if strategy == CBV else 'the coin'}):")
-            _show_dist(bracket.lower)
+            lines.append(f"{strategy} (copies {'the coin outcome' if strategy == CBV else 'the coin'}):")
+            lines += _show_dist(bracket.lower)
     elif args.which == "geo":
-        print("GEO: flip at numeral n, stop or move to n+1; P(n) = 1/2^(n+1)")
+        lines.append("GEO: flip at numeral n, stop or move to n+1; P(n) = 1/2^(n+1)")
         bracket = approximate(encodings.GEO, CBV, 120)
-        _show_dist(bracket.lower)
-        print(f"  residual {bracket.residual}")
+        lines += _show_dist(bracket.lower)
+        lines.append(f"  residual {bracket.residual}")
     elif args.which == "omega":
-        print("OMEGA loops forever; its divergence bracket is exact:")
+        lines.append("OMEGA loops forever; its divergence bracket is exact:")
         low, up = divergence_bracket(encodings.OMEGA, CBV, 5)
-        print(f"  divergence in [{low}, {up}]")
+        lines.append(f"  divergence in [{low}, {up}]")
     else:
         left, right = parse("TT"), parse("OMEGA")
         term = encodings.standard_choice(left, right)
-        print(f"standard choice of TT against OMEGA: {print_term(term)}")
+        lines.append(f"standard choice of TT against OMEGA: {print_term(term)}")
         bracket = approximate(term, CBV, 50)
         low, up = bracket.divergence()
-        _show_dist(bracket.lower)
-        print(f"  residual {bracket.residual}, divergence in [{low}, {up}]")
-    return EXIT_OK
+        lines += _show_dist(bracket.lower)
+        lines.append(f"  residual {bracket.residual}, divergence in [{low}, {up}]")
+    return EXIT_OK, lines
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[int, list[str]]:
     if args.corpus:
         corpus = checks.load_corpus(args.corpus)
     else:
@@ -255,15 +255,16 @@ def _cmd_check(args) -> int:
         "simulation": checks.run_simulation_suite,
     }[args.suite]
     outcomes = suite(corpus, **kwargs)
+    lines = []
     failed = 0
     for outcome in outcomes:
         line = f"{outcome.status}  {outcome.term_text}"
         if outcome.detail:
             line += f"  [{outcome.detail}]"
-        print(line)
+        lines.append(line)
         failed += not outcome.passed
-    print(f"{len(outcomes) - failed}/{len(outcomes)} passed")
-    return EXIT_CHECK if failed else EXIT_OK
+    lines.append(f"{len(outcomes) - failed}/{len(outcomes)} passed")
+    return (EXIT_CHECK if failed else EXIT_OK), lines
 
 
 _COMMANDS = {
@@ -282,7 +283,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code, lines = _COMMANDS[args.command](args)
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

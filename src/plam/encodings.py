@@ -110,12 +110,20 @@ class FdtError(ValueError):
 
 
 def leaf(n: int) -> Term:
-    return Abs("x", Abs("y", App(Var("x"), encode_nat(n))))
+    return _leaf(encode_nat(n))
 
 
 def node(left: Term, right: Term) -> Term:
     if fdt_shape(left) is None or fdt_shape(right) is None:
         raise FdtError("node children must be finite dyadic trees")
+    return _node(left, right)
+
+
+def _leaf(numeral: Term) -> Term:
+    return Abs("x", Abs("y", App(Var("x"), numeral)))
+
+
+def _node(left: Term, right: Term) -> Term:
     return Abs("x", Abs("y", App(App(Var("y"), left), right)))
 
 
@@ -174,6 +182,8 @@ def fdt_from_dist(d: Mapping[int, Dyadic]) -> Term:
         m = d[n]
         if not m:
             continue
+        if n < 0:
+            raise FdtError(f"outcome {n} is not a natural number")
         if m > ONE:
             raise FdtError(f"mass {m} of outcome {n} exceeds 1")
         total = total + m
@@ -193,12 +203,24 @@ def fdt_from_dist(d: Mapping[int, Dyadic]) -> Term:
         code += 1
         prev_depth = depth
 
+    # one leaf per outcome, over numerals built in one pass, each on its
+    # predecessor (encode_nat's shape), and inner nodes built unchecked:
+    # the builder made their subtrees
+    outcomes = {n for _, n in codes}
+    leaves = {}
+    numeral = encode_nat(0)
+    for n in range(max(outcomes) + 1):
+        if n:
+            numeral = Abs("x", Abs("y", App(Var("y"), numeral)))
+        if n in outcomes:
+            leaves[n] = _leaf(numeral)
+
     def build(codes: list[tuple[str, int]]) -> Term:
         if len(codes) == 1 and codes[0][0] == "":
-            return leaf(codes[0][1])
+            return leaves[codes[0][1]]
         left = [(c[1:], n) for c, n in codes if c[0] == "0"]
         right = [(c[1:], n) for c, n in codes if c[0] == "1"]
-        return node(build(left), build(right))
+        return _node(build(left), build(right))
 
     return build(codes)
 

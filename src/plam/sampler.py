@@ -130,21 +130,22 @@ def _read_back(closure, memo: dict) -> Term:
 
 def _close(t: Term, env: dict, memo: dict) -> Term:
     """t with each free name replaced by the term of its closure.  Those
-    terms are closed, so no binder of t needs renaming."""
-    if t.free_names.isdisjoint(env):
+    terms are closed, so no binder of t needs renaming.  Read-back runs
+    once per sample, so this tests the type and reads slots, as the
+    machines do."""
+    if t._free.isdisjoint(env):
         return t
-    match t:
-        case Var(name):
-            return _read_back(env[name], memo)
-        case Abs(binder, body):
-            if binder in env:
-                env = {k: v for k, v in env.items() if k != binder}
-            return Abs(binder, _close(body, env, memo))
-        case App(fun, arg):
-            return App(_close(fun, env, memo), _close(arg, env, memo))
-        case Choice(left, right):
-            return Choice(_close(left, env, memo), _close(right, env, memo))
-    raise TypeError(f"not a term: {t!r}")
+    kind = type(t)
+    if kind is App:
+        return App(_close(t._fun, env, memo), _close(t._arg, env, memo))
+    if kind is Abs:
+        binder = t._binder
+        if binder in env:
+            env = {k: v for k, v in env.items() if k != binder}
+        return Abs(binder, _close(t._body, env, memo))
+    if kind is Choice:
+        return Choice(_close(t._left, env, memo), _close(t._right, env, memo))
+    return _read_back(env[t._name], memo)
 
 
 _MACHINES = {"cbv": _run_cbv, "cbn": _run_cbn}

@@ -6,24 +6,27 @@ that decides it is private to this module.
 
 Terms are `__slots__` objects without an instance dict.  The
 constructors build free names and size from the children's; nothing is
-hashed or keyed at construction.  The hash is composed from the
-children's hashes (Filliâtre & Conchon, "Type-Safe Modular
-Hash-Consing", 2006), so hashing never walks a key tuple.  A variable
-or an abstraction fills its key and hash together on its first
-comparison or hash.  An application or a choice fills only its hash on
-its first hash, and builds its key, from its children's, on its first
-equality test against a distinct term with the same hash: a dict
-compares keys only then, so most states and context subterms of a run
-are never keyed.  Fields are read-only properties over private slots.
+hashed or keyed at construction.  A term's hash is one step over its
+children's stored hashes (Filliâtre & Conchon, "Type-Safe Modular
+Hash-Consing", 2006) and ignores names altogether, so it is the same
+for alpha-equivalent terms without any key: a variable hashes to a
+constant, and an abstraction to its body's hash and whether its binder
+occurs in the body.  Distinct terms may share a hash.  A term fills its
+hash on its first hash or comparison, and builds its nameless key only
+on its first equality test against a distinct term with the same hash:
+a dict compares keys only then, so most states, context subterms and
+values of a run are never keyed.  Fields are read-only properties over
+private slots.
 
-The hot walks (free names, keys, substitution, and the steppers, the
-big-step engine, the sampler's machines and the finite dyadic tree
-readers in their modules) dispatch on `type(t)` and read the slots
-directly: a class pattern with two subpatterns costs about ten times a
-type test and two slot reads, and a property read costs more than a slot
-read.  `__match_args__` names the slots for the cold walks (printing,
-canonical forms, the CPS translations, the other encodings), which keep
-their `match` statements.
+The hot walks (free names, hashes, keys, substitution, and the
+steppers, the big-step engine, the sampler's machines and read-back,
+and the finite dyadic tree readers in their modules) dispatch on
+`type(t)` and read the slots directly: a class pattern with two
+subpatterns costs about ten times a type test and two slot reads, and a
+property read costs more than a slot read.  `__match_args__` names the
+slots for the cold walks (printing, canonical forms, the CPS
+translations, the other encodings), which keep their `match`
+statements.
 
 The concrete syntax is
 
@@ -67,7 +70,7 @@ class OpenTermError(ValueError):
 
 class Term:
     """Base class for Var, Abs, App and Choice.  `_hash` and `_key` are
-    None until `_alpha_key` fills them in."""
+    None until `_alpha_key` fills them in, the hash first."""
 
     __slots__ = ("_free", "_size", "_key", "_hash")
     __match_args__ = ()
@@ -166,18 +169,25 @@ def is_value(t: Term) -> bool:
     return isinstance(t, (Var, Abs))
 
 
-def _alpha_key(t: Term) -> None:
-    """Fill in t's hash, or its nameless key once it has a hash.  Keys
-    are ("f", name) for a free variable, ("b", i) for the variable bound
-    i binders up, and ("l", body), ("a", fun, arg), ("c", left, right).
+# the hash of every variable
+_VAR_HASH = hash("v")
 
-    An application or a choice gets its hash on the first call, composed
-    from its children's hashes, and its key on the second, from its
-    children's keys: a dict compares the keys of two terms only when
-    their hashes are equal, so most applications never build a key.  A
-    variable or an abstraction gets both on the first call, in one walk
-    of its body; values are what sub-distributions and the sampler's
-    counts hold and compare.  No key tuple is walked."""
+
+def _alpha_key(t: Term) -> None:
+    """Fill in t's hash on the first call and its nameless key on the
+    second.
+
+    The hash is blind to names, so renaming any variable, bound or free,
+    keeps it: a variable hashes to a constant, an abstraction to its
+    body's hash and whether the binder occurs in the body, and an
+    application or a choice to its tag and its children's hashes.  Each
+    is one step over the children's stored hashes.  Distinct terms may
+    share a hash (`x y` and `y x` do); their keys tell them apart.
+
+    Keys are ("f", name) for a free variable, ("b", i) for the variable
+    bound i binders up, and ("l", body), ("a", fun, arg), ("c", left,
+    right).  A dict compares the keys of two terms only when their
+    hashes are equal, so most terms of a run never build one."""
     kind = type(t)
     if kind is App or kind is Choice:
         if kind is App:
@@ -185,47 +195,48 @@ def _alpha_key(t: Term) -> None:
         else:
             tag, fun, arg = "c", t._left, t._right
         if t._hash is None:
-            # a term with a hash has children with hashes
             if fun._hash is None:
                 _alpha_key(fun)
             if arg._hash is None:
                 _alpha_key(arg)
             t._hash = hash((tag, fun._hash, arg._hash))
         else:
+            # a term with a hash has children with hashes, so one call
+            # each builds their keys
             if fun._key is None:
                 _alpha_key(fun)
             if arg._key is None:
                 _alpha_key(arg)
             t._key = (tag, fun._key, arg._key)
     elif kind is Abs:
-        key, h = _bound_key(t._body, (t._binder,))
-        t._key, t._hash = ("l", key), hash(("l", h))
+        body = t._body
+        if t._hash is None:
+            if body._hash is None:
+                _alpha_key(body)
+            t._hash = hash(("l", body._hash, t._binder in body._free))
+        else:
+            t._key = ("l", _bound_key(body, (t._binder,)))
+    elif t._hash is None:
+        t._hash = _VAR_HASH
     else:
-        key = ("f", t._name)
-        t._key, t._hash = key, hash(key)
+        t._key = ("f", t._name)
 
 
 def _bound_key(t: Term, bound: tuple[str, ...]):
-    """(key, hash) of t under the binders `bound`, innermost first.  A
-    subterm with none of them free gives back its own stored pair."""
+    """t's key under the binders `bound`, innermost first.  A subterm
+    with none of them free gives back its own stored key."""
     if t._free.isdisjoint(bound):
         while t._key is None:
             _alpha_key(t)
-        return t._key, t._hash
+        return t._key
     kind = type(t)
-    if kind is App or kind is Choice:
-        if kind is App:
-            tag, fun, arg = "a", t._fun, t._arg
-        else:
-            tag, fun, arg = "c", t._left, t._right
-        fun_key, fun_hash = _bound_key(fun, bound)
-        arg_key, arg_hash = _bound_key(arg, bound)
-        return (tag, fun_key, arg_key), hash((tag, fun_hash, arg_hash))
+    if kind is App:
+        return ("a", _bound_key(t._fun, bound), _bound_key(t._arg, bound))
+    if kind is Choice:
+        return ("c", _bound_key(t._left, bound), _bound_key(t._right, bound))
     if kind is Abs:
-        key, h = _bound_key(t._body, (t._binder, *bound))
-        return ("l", key), hash(("l", h))
-    key = ("b", bound.index(t._name))
-    return key, hash(key)
+        return ("l", _bound_key(t._body, (t._binder, *bound)))
+    return ("b", bound.index(t._name))
 
 
 def _free_names(t: Term) -> frozenset[str]:

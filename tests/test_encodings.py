@@ -266,6 +266,25 @@ def test_tree_from_distribution_round_trips():
     assert pd(tree) == SubDist({encode_nat(n): m for n, m in d.items()})
 
 
+def test_trees_over_many_outcomes_round_trip():
+    # numerals up to the largest outcome are built once, each over the
+    # last, and shared between the leaves that hold them
+    uniform = {n: Dyadic(1, 8) for n in range(256)}
+    # 3/8 splits into two leaves for outcome 0
+    skewed = {0: Dyadic(3, 3), 7: Dyadic(1, 2), 299: Dyadic(1, 2), 300: Dyadic(1, 3)}
+    for d in (uniform, skewed):
+        tree = fdt_from_dist(d)
+        assert is_fdt(tree)
+        assert pd(tree) == SubDist({encode_nat(n): m for n, m in d.items()})
+
+
+def test_tree_outcomes_must_be_natural_numbers():
+    with pytest.raises(FdtError, match="not a natural number"):
+        fdt_from_dist({-1: HALF, 0: HALF})
+    # an outcome of mass 0 gets no leaf
+    assert fdt_from_dist({-1: ZERO, 2: ONE}) == leaf(2)
+
+
 def test_tree_from_point_mass_is_a_leaf():
     assert fdt_from_dist({3: ONE}) == leaf(3)
 

@@ -147,27 +147,41 @@ def test_hash_agrees_with_alpha_eq():
 
 
 def test_hash_is_composed_from_the_childrens_hashes():
+    # one step over the children's hashes, with no name in it
     t, u = OMEGA, parse("\\y. y")
     assert hash(App(t, u)) == hash(("a", hash(t), hash(u)))
     assert hash(Choice(u, t)) == hash(("c", hash(u), hash(t)))
-    assert hash(Abs("x", App(Var("x"), t))) == hash(
-        ("l", hash(("a", hash(("b", 0)), hash(t))))
-    )
+    body = App(Var("x"), t)
+    assert hash(Abs("x", body)) == hash(("l", hash(body), True))
+    assert hash(Abs("y", body)) == hash(("l", hash(body), False))
+    assert hash(Var("x")) == hash(Var("y")) == hash(Var("x'"))
 
 
 def test_keying_a_term_over_keyed_children_takes_one_call(monkeypatch):
-    # the mended cost: a new term's key and hash take the stored pairs of
-    # its keyed closed subterms, however large, without walking them
+    # the mended cost: a new term's hash takes the stored hashes of its
+    # hashed subterms, and its key their stored keys, however large,
+    # without walking them
     calls = []
     original = syntax._alpha_key
     monkeypatch.setattr(syntax, "_alpha_key", lambda t: calls.append(t) or original(t))
     t = parse("NAT 200")
-    hash(t)
+    t.alpha_key
     calls.clear()
-    for wrapped in (App(t, t), Abs("x", App(Var("x"), t))):
+    for wrapped in (App(t, t), Choice(t, t)):
         hash(wrapped)
         assert calls == [wrapped]
         calls.clear()
+        wrapped.alpha_key
+        assert calls == [wrapped]
+        calls.clear()
+    # an abstraction's new nodes are each hashed by a call of their own
+    body = App(Var("x"), t)
+    wrapped = Abs("x", body)
+    hash(wrapped)
+    assert calls == [wrapped, body, body._fun]
+    calls.clear()
+    wrapped.alpha_key
+    assert calls == [wrapped]
 
 
 def test_keys_share_the_keys_of_closed_subterms():
@@ -284,14 +298,60 @@ def test_an_application_is_hashed_without_a_key():
     assert t._hash is None and t._key is None
     hash(t)
     assert t._key is None and t._arg._key is None
-    assert t._fun._key is not None  # OMEGA, keyed by earlier uses
     # equality against a distinct term with the same hash builds the keys
     u = _copy(t)
     assert u == t
     assert t._key == u._key == de_bruijn(t)
     # a term with another hash is told apart without a key
-    v = App(OMEGA, Choice(TT, Var("y")))
+    v = App(OMEGA, Choice(Var("y"), TT))
+    assert hash(v) != hash(t)
     assert v != t and v._key is None
+
+
+def test_an_abstraction_is_hashed_without_a_key():
+    t = parse("\\x. \\y. x (\\z. z y) (+) y")
+    hash(t)
+    assert t._key is None and t._body._key is None
+    u = parse("\\a. \\b. a (\\c. c b) (+) b")
+    assert hash(u) == hash(t) and u == t
+    assert t._key == u._key == de_bruijn(t)
+
+
+@pytest.mark.parametrize(
+    "a, b", [("\\x. \\y. x y", "\\x. \\y. y x"), ("x y", "y x")]
+)
+def test_distinct_terms_that_share_a_hash_stay_apart(a, b):
+    # the hash is blind to names, so these pairs collide on purpose
+    s, t = parse(a), parse(b)
+    assert hash(s) == hash(t)
+    assert s != t and t != s
+    table = {s: "s", t: "t"}
+    assert len(table) == 2
+    assert table[parse(a)] == "s" and table[parse(b)] == "t"
+
+
+def _rename_all(t, renaming):
+    """t with every name, free or bound, sent through the injective
+    renaming; names it does not list are primed."""
+    match t:
+        case Var(name):
+            return Var(renaming.get(name, name + "'"))
+        case Abs(binder, body):
+            return Abs(renaming.get(binder, binder + "'"), _rename_all(body, renaming))
+        case App(fun, arg):
+            return App(_rename_all(fun, renaming), _rename_all(arg, renaming))
+        case Choice(left, right):
+            return Choice(_rename_all(left, renaming), _rename_all(right, renaming))
+
+
+_LISTED = ("x", "y", "z", "v1")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_SHADOWING_TERMS, _OPEN_TERMS), st.permutations(_LISTED))
+def test_renaming_never_changes_the_hash(t, names):
+    assert hash(_rename_binders(t)) == hash(t)
+    assert hash(_rename_all(t, dict(zip(_LISTED, names)))) == hash(t)
 
 
 _COMPOUND = st.one_of(
