@@ -19,6 +19,17 @@ outcome of `F L`, each still holding `F R`) is reduced for the first of
 them only.  The graph lives and dies with the call; nothing of it is
 kept on `Bracket`.
 
+A looping term's frontier soon repeats: the same state objects in the
+same order with the same masses.  Between two such frontiers no mass
+can have converged, since lower mass + residual = 1, so every table is
+as it was, and whole periods are skipped; only the rounds left over are
+run.  The repeat is found by Brent's cycle detection (Brent, "An
+improved Monte Carlo factorization algorithm", BIT 1980) over the
+frontiers of rounds that stepped no new state, keeping one checkpoint
+frontier that moves on at power-of-two distances.  A looping term thus
+costs the same at any fuel past its first period, and the result is
+that of running every round, objects and order included.
+
 Divergence brackets come from the same run: the upper bound is 1 minus
 the converged mass, i.e. the residual; the lower bound counts frontier
 mass sitting on states whose forward closure is finite and value-free
@@ -103,10 +114,14 @@ def approximate(
     frontier: dict[Term, Dyadic] = {}
     graph: dict[Term, list[Term]] = {}
     (lower if is_value(t) else frontier)[t] = ONE
-
-    for round_no in range(1, fuel + 1):
-        if not frontier:
-            break
+    # Brent's cycle detection over the frontiers of rounds that stepped
+    # no new state: `mark` is a checkpoint frontier, `lap` the rounds
+    # since it, and the checkpoint moves on when `lap` reaches `reach`
+    mark = None
+    round_no = 0
+    while round_no < fuel and frontier:
+        round_no += 1
+        known = len(graph)
         fresh: dict[Term, Dyadic] = {}
         for term, mass in frontier.items():
             succs = graph.get(term) or step(term, strategy, graph)
@@ -125,6 +140,26 @@ def approximate(
         if len(fresh) > frontier_cap:
             raise FrontierCapError(frontier_cap, round_no, len(fresh))
         frontier = fresh
+        if len(graph) != known:
+            # the round stepped a new state: a repeat counts only across
+            # rounds that read stored successor lists and nothing else
+            mark = None
+        elif mark is None:
+            mark, mark_ids, lap, reach = fresh, tuple(map(id, fresh)), 0, 1
+        else:
+            # the round mapped the frontier through stored successor
+            # lists only, so the next frontier is a function of this
+            # one's objects, order and masses.  Objects are compared by
+            # identity: `mark` keeps its own alive, so equal ids mean the
+            # same objects
+            lap += 1
+            ids = tuple(map(id, fresh))
+            if ids == mark_ids and list(fresh.values()) == list(mark.values()):
+                # the frontier repeats every `lap` rounds.  After the
+                # jump fewer than `lap` rounds remain, so it is the only one
+                round_no += (fuel - round_no) // lap * lap
+            elif lap == reach:
+                mark, mark_ids, lap, reach = fresh, ids, 0, 2 * reach
 
     converged = residual = ZERO
     for m in lower.values():

@@ -215,28 +215,47 @@ def _alpha_key(t: Term) -> None:
                 _alpha_key(body)
             t._hash = hash(("l", body._hash, t._binder in body._free))
         else:
-            t._key = ("l", _bound_key(body, (t._binder,)))
+            t._key = ("l", _bound_key(body, {t._binder: 0}, 1))
     elif t._hash is None:
         t._hash = _VAR_HASH
     else:
         t._key = ("f", t._name)
 
 
-def _bound_key(t: Term, bound: tuple[str, ...]):
-    """t's key under the binders `bound`, innermost first.  A subterm
-    with none of them free gives back its own stored key."""
-    if t._free.isdisjoint(bound):
+def _bound_key(t: Term, depth: dict[str, int], level: int):
+    """t's key under `level` binders, where `depth` maps each name they
+    bind to the number of binders outside the innermost one of that
+    name.  A subterm with none of them free gives back its own stored
+    key.  Each binder sets its name's entry and restores it on the way
+    out, so the walk is linear in the binder depth."""
+    if depth.keys().isdisjoint(t._free):
         while t._key is None:
             _alpha_key(t)
         return t._key
     kind = type(t)
     if kind is App:
-        return ("a", _bound_key(t._fun, bound), _bound_key(t._arg, bound))
+        return (
+            "a",
+            _bound_key(t._fun, depth, level),
+            _bound_key(t._arg, depth, level),
+        )
     if kind is Choice:
-        return ("c", _bound_key(t._left, bound), _bound_key(t._right, bound))
+        return (
+            "c",
+            _bound_key(t._left, depth, level),
+            _bound_key(t._right, depth, level),
+        )
     if kind is Abs:
-        return ("l", _bound_key(t._body, (t._binder, *bound)))
-    return ("b", bound.index(t._name))
+        binder = t._binder
+        outer = depth.get(binder)
+        depth[binder] = level
+        key = ("l", _bound_key(t._body, depth, level + 1))
+        if outer is None:
+            del depth[binder]
+        else:
+            depth[binder] = outer
+        return key
+    return ("b", level - 1 - depth[t._name])
 
 
 def _free_names(t: Term) -> frozenset[str]:

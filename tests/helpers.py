@@ -1,8 +1,8 @@
-"""Seeded random generators shared across the test suite, the
-graph-free round loop `approximate` is checked against, the small-step
-walker the sampler's machines are checked against, and the
-pattern-matching tree readers the encodings' readers are checked
-against.
+"""Seeded random generators shared across the test suite, the round
+loop `approximate` is checked against (with or without a graph, and
+never skipping a round), the small-step walker the sampler's machines
+are checked against, and the pattern-matching tree readers the
+encodings' readers are checked against.
 
 Everything takes an explicit random.Random so each suite pins its own
 seed and stays reproducible run to run.
@@ -128,10 +128,16 @@ def count_steps(monkeypatch) -> list[Term]:
 
 
 def reference_approximate(
-    t: Term, strategy: str, fuel: int, frontier_cap: int = DEFAULT_FRONTIER_CAP
+    t: Term,
+    strategy: str,
+    fuel: int,
+    frontier_cap: int = DEFAULT_FRONTIER_CAP,
+    graph: dict | None = None,
 ) -> Bracket:
     """The round loop with no reduction graph: every pending term is
-    stepped afresh in every round, however often it recurs."""
+    stepped afresh in every round, however often it recurs.  Given a
+    graph, each state is stepped once and its stored successors are
+    taken from then on, as in `approximate`, but every round is run."""
     lower: dict[Term, Dyadic] = {}
     frontier: dict[Term, Dyadic] = {}
 
@@ -145,7 +151,10 @@ def reference_approximate(
             break
         fresh: dict[Term, Dyadic] = {}
         for term, mass in frontier.items():
-            succs = step(term, strategy)
+            if graph is None:
+                succs = step(term, strategy)
+            else:
+                succs = graph.get(term) or step(term, strategy, graph)
             share = mass.half() if len(succs) == 2 else mass
             for s in succs:
                 put(lower if is_value(s) else fresh, s, share)

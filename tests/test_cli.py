@@ -80,6 +80,15 @@ def test_eval_text_mode_reports_mass_and_divergence(capsys):
 
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_eval_of_a_loop_at_huge_fuel_finishes(capsys, strategy):
+    code, out, _ = run(
+        capsys, ["eval", "OMEGA", "--strategy", strategy, "--fuel", "1000000000"]
+    )
+    assert code == EXIT_OK
+    assert "mass 0, residual 1\n" in out
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 def test_eval_reduces_the_term_once(capsys, monkeypatch, strategy):
     # the divergence bound reuses the bracket's run instead of a second one
     program = "(\\x. XOR x x) (TT (+) FF)"

@@ -2,6 +2,7 @@
 divergence brackets."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -200,26 +201,81 @@ def _cap_hit(run):
     return None
 
 
+def _plain(pairs):
+    return [(print_term(t), m) for t, m in pairs]
+
+
+# fuels on both sides of short periods, and past many of them
+_DIFFERENTIAL_FUELS = (0, 1, 2, 3, 5, 8, 13, 64, 500)
+
+
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 def test_the_graph_changes_no_result(strategy):
+    # against the loop that keeps a graph but runs every round, exactly:
+    # the periods `approximate` skips change no object, order or mass;
+    # against the loop without a graph up to alpha, since a stored
+    # successor may be another alpha-variant.  That loop re-steps every
+    # state in every round, and under cbn the states of one gate term
+    # keep growing (13 s at fuel 500), so it stops at fuel 64
     caps_hit = 0
     for t in gate_terms():
-        for fuel in (0, 3, 12, 50):
+        for fuel in _DIFFERENTIAL_FUELS:
             got = approximate(t, strategy, fuel)
-            want = reference_approximate(t, strategy, fuel)
             where = (print_term(t), fuel)
-            assert _canonical(got.lower.items()) == _canonical(
-                want.lower.items()
+            if fuel <= 64:
+                want = reference_approximate(t, strategy, fuel)
+                assert got.residual == want.residual, where
+                assert _canonical(got.lower.items()) == _canonical(
+                    want.lower.items()
+                ), where
+                assert _canonical(got.frontier) == _canonical(
+                    want.frontier
+                ), where
+                assert got.divergence() == reference_divergence(want), where
+            every_round = reference_approximate(t, strategy, fuel, graph={})
+            assert _plain(got.lower.items()) == _plain(
+                every_round.lower.items()
             ), where
-            assert got.residual == want.residual, where
-            assert _canonical(got.frontier) == _canonical(want.frontier), where
-            assert got.divergence() == reference_divergence(want), where
+            assert got.residual == every_round.residual, where
+            assert _plain(got.frontier) == _plain(every_round.frontier), where
+            assert got.divergence() == every_round.divergence(), where
         hit = _cap_hit(lambda: approximate(t, strategy, 50, frontier_cap=3))
         assert hit == _cap_hit(
             lambda: reference_approximate(t, strategy, 50, frontier_cap=3)
         )
         caps_hit += hit is not None
     assert caps_hit > 0
+
+
+@pytest.mark.parametrize("fuel", [30, 31, 32])
+def test_a_frontier_whose_masses_shrink_is_never_skipped(fuel):
+    # the same two states recur in every frontier, each time with half
+    # the mass they had a period before
+    t = parse("(\\x. x x) (\\x. OMEGA (+) (TT (+) (x x)))")
+    got = approximate(t, CBN, fuel)
+    want = reference_approximate(t, CBN, fuel)
+    assert _plain(got.lower.items()) == _plain(want.lower.items())
+    assert got.residual == want.residual
+    assert _plain(got.frontier) == _plain(want.frontier)
+    assert got.divergence() == want.divergence()
+    assert ZERO < got.lower.get(parse("TT")) < got.upper_bound(parse("TT"))
+
+
+@pytest.mark.parametrize(
+    "text, strategy, lower",
+    [
+        ("OMEGA", CBV, {}),
+        ("OMEGA", CBN, {}),
+        ("OMEGA (+) \\x. x", CBN, {"\\x. x": HALF}),
+    ],
+)
+def test_a_repeating_frontier_costs_the_same_at_any_fuel(text, strategy, lower):
+    start = time.perf_counter()
+    b = approximate(parse(text), strategy, 10**7)
+    assert time.perf_counter() - start < 1.0
+    assert b.lower == SubDist({parse(v): m for v, m in lower.items()})
+    assert b.residual == ONE - b.lower.mass()
+    assert b.divergence() == (b.residual, b.residual)
 
 
 def test_the_graph_changes_no_mfdt_result():

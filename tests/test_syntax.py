@@ -237,6 +237,29 @@ def test_alpha_key_is_the_de_bruijn_form(t):
     assert c == t and c.free_names == t.free_names
 
 
+def _binder_chain(names, target):
+    """\\names[0]. ... \\names[-1]. target, built without the parser."""
+    t = Var(target)
+    for name in reversed(names):
+        t = Abs(name, t)
+    return t
+
+
+def test_a_key_under_thousands_of_binders_is_the_de_bruijn_form():
+    n = 4000
+    t = _binder_chain([f"x{i}" for i in range(n)], "x0")
+    assert t.alpha_key == de_bruijn(t)
+    assert t.body.alpha_key == de_bruijn(t.body)
+    renamed = _binder_chain([f"y{n - i}" for i in range(n)], f"y{n}")
+    assert renamed == t and hash(renamed) == hash(t)
+    assert renamed.alpha_key == t.alpha_key
+    # one name for every binder: the variable is bound by the innermost
+    shadowed = _binder_chain(["x"] * n, "x")
+    assert shadowed.alpha_key == de_bruijn(shadowed)
+    assert shadowed != t
+    assert shadowed == _binder_chain([f"x{i}" for i in range(n)], f"x{n - 1}")
+
+
 def _rename_binders(t, scope=()):
     """t with every binder primed: alpha-equal to t, with other names."""
     match t:
