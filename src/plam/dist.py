@@ -172,18 +172,21 @@ class Dyadic:
         return cls(_integer(obj["num"]), int(obj["exp"]))
 
     def digits(self, n: int) -> str:
-        """First n binary digits of a value in [0, 1].
-
-        Digits are the truncated binary expansion; the value 1 is emitted
-        as all ones by convention.
-        """
+        """First n binary digits of a value in [0, 1]: the truncated
+        binary expansion, with the value 1 as all ones (`_digits`)."""
         if self > ONE:
             raise ValueError(f"{self} > 1 has no digit expansion")
-        if self == ONE:
-            return "1" * n
-        return "".join(
-            str(((self._num << k) >> self._exp) & 1) for k in range(1, n + 1)
-        )
+        return _digits(self._num, 1 << self._exp, n)
+
+
+def _digits(num: int, den: int, n: int) -> str:
+    """First n binary digits of num/den >= 0: floor(num/den * 2^n) in n
+    digits, or all ones at or above 1 by convention; empty for n <= 0."""
+    if n <= 0:
+        return ""
+    if num >= den:
+        return "1" * n
+    return format((num << n) // den, f"0{n}b")
 
 
 def _dyadic(num: int, exp: int) -> Dyadic:

@@ -172,57 +172,51 @@ def pd(t: Term) -> SubDist:
 def fdt_from_dist(d: Mapping[int, Dyadic]) -> Term:
     """Tree whose pd is exactly d; d must have total mass 1.
 
-    Each mass is cut into powers of two and the pieces become leaves at
-    the matching depths (shortest codes first), which fits exactly
-    because the masses sum to 1.
+    Knuth and Yao's generating tree ("The complexity of nonuniform random
+    number generation", 1976): each set bit 2^-k of a mass is a leaf at
+    depth k.  Read left to right, the leaves come in order of (depth,
+    outcome), and each closes a subtree with the one before it whenever
+    their depths are equal; they fill the tree because the masses sum to 1.
     """
     total = ZERO
-    atoms: list[tuple[int, int]] = []  # (depth, outcome)
     for n in sorted(d):
         m = d[n]
         if not m:
             continue
         if n < 0:
             raise FdtError(f"outcome {n} is not a natural number")
-        if m > ONE:
+        if m.num >> m.exp and m != ONE:  # m > 1, without shifting ONE to m.exp
             raise FdtError(f"mass {m} of outcome {n} exceeds 1")
         total = total + m
-        for depth in range(m.exp + 1):
-            if (m.num >> (m.exp - depth)) & 1:
-                atoms.append((depth, n))
     if total != ONE:
         raise FdtError(f"total mass is {total}, need exactly 1")
 
-    # canonical code assignment: sort by depth, hand out codewords in order
+    atoms: list[tuple[int, int]] = []  # (depth, outcome), one per set bit
+    for n, m in d.items():
+        num = m.num
+        while num:
+            bit = num & -num
+            atoms.append((m.exp + 1 - bit.bit_length(), n))
+            num ^= bit
     atoms.sort()
-    codes: list[tuple[str, int]] = []
-    code, prev_depth = 0, 0
+
+    # one leaf per outcome; NAT k is the argument inside NAT k+1, so every
+    # numeral is read off the largest one
+    top = max(n for _, n in atoms)
+    numerals = [encode_nat(top)]  # NAT top, NAT top-1, ..., NAT 0
+    while len(numerals) <= top:
+        numerals.append(numerals[-1]._body._body._arg)
+    leaves = {n: _leaf(numerals[top - n]) for _, n in atoms}
+
+    # finished subtrees with their depths, deepest last; the builder made
+    # every subtree, so nodes are built unchecked
+    stack: list[tuple[int, Term]] = []
     for depth, n in atoms:
-        code <<= depth - prev_depth
-        codes.append((format(code, f"0{depth}b") if depth else "", n))
-        code += 1
-        prev_depth = depth
-
-    # one leaf per outcome, over numerals built in one pass, each on its
-    # predecessor (encode_nat's shape), and inner nodes built unchecked:
-    # the builder made their subtrees
-    outcomes = {n for _, n in codes}
-    leaves = {}
-    numeral = encode_nat(0)
-    for n in range(max(outcomes) + 1):
-        if n:
-            numeral = Abs("x", Abs("y", App(Var("y"), numeral)))
-        if n in outcomes:
-            leaves[n] = _leaf(numeral)
-
-    def build(codes: list[tuple[str, int]]) -> Term:
-        if len(codes) == 1 and codes[0][0] == "":
-            return leaves[codes[0][1]]
-        left = [(c[1:], n) for c, n in codes if c[0] == "0"]
-        right = [(c[1:], n) for c, n in codes if c[0] == "1"]
-        return _node(build(left), build(right))
-
-    return build(codes)
+        tree = leaves[n]
+        while stack and stack[-1][0] == depth:
+            tree, depth = _node(stack.pop()[1], tree), depth - 1
+        stack.append((depth, tree))
+    return stack[0][1]
 
 
 def run_mfdt(t: Term, fuel: int):

@@ -2,17 +2,19 @@
 between oracles and terms.
 
 An oracle answers approx(a, n): the first n binary digits (truncated
-expansion; probability 1 is all ones by convention) of the probability
-of outcome a.  soundness_approx reads such digits off a term by running
-it until the residual is small enough.  split peels half of an oracle's
-mass into a finite dyadic tree plus a remainder oracle; iterating that
+expansion; probability 1 is all ones by convention, `dist._digits`) of
+the probability of outcome a.  A probability known only to lie in an
+interval has those digits once both ends of the interval share them:
+soundness_approx runs a term until the two ends of its bracket agree,
+and split's remainder oracle queries its base oracle until the two ends
+that the base digits leave agree.  split peels half of an oracle's mass
+into a finite dyadic tree plus a remainder oracle; iterating that
 (completeness_approx) builds a term whose distribution approaches the
 oracle's from below, gaining one bit of mass per round.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import select
 import subprocess
@@ -20,7 +22,7 @@ import time
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .dist import Dyadic, HALF, ONE, ZERO
+from .dist import Dyadic, HALF, ONE, ZERO, _digits
 from .encodings import MFDT, OMEGA, decode_nat, encode_nat, fdt_from_dist
 from .reduction import CBV
 from .smallstep import approximate
@@ -65,12 +67,7 @@ class FractionOracle(DistOracle):
         p = Fraction(self.prob(a))
         if not 0 <= p <= 1:
             raise OracleError(f"probability of {a} is {p}, outside [0, 1]")
-        if p == 1:
-            return "1" * n
-        return "".join(
-            str((p.numerator << k) // p.denominator % 2)
-            for k in range(1, n + 1)
-        )
+        return _digits(p.numerator, p.denominator, n)
 
 
 def oracle_from_dyadics(d: Mapping[int, Dyadic]) -> DistOracle:
@@ -157,19 +154,21 @@ def soundness_approx(t: Term, a: int, n: int) -> str | None:
     """First n binary digits of the probability of numeral a in t's
     call-by-value run.
 
-    Evaluates t under the fuels of SOUNDNESS_FUEL_SCHEDULE until the
-    residual drops below 2^-n, then reads the digits off the lower
-    approximant; returns None when the schedule is exhausted first.
-    Rejects terms whose converged support contains non-numerals.
+    Evaluates t under the fuels of SOUNDNESS_FUEL_SCHEDULE until the two
+    ends of its bracket on that probability (the converged mass of a, and
+    that plus the residual) share their first n digits; returns None when
+    the schedule is exhausted first.  Rejects terms whose converged
+    support contains non-numerals.
     """
-    threshold = Dyadic(1, n) if n else ZERO
+    numeral = encode_nat(a)
     for fuel in SOUNDNESS_FUEL_SCHEDULE:
         bracket = approximate(t, CBV, fuel)
-        if bracket.residual < threshold or (not bracket.residual and not n):
+        digits = bracket.lower.get(numeral).digits(n)
+        if digits == bracket.upper_bound(numeral).digits(n):
             for v, _ in bracket.lower.items():
                 if decode_nat(v) is None:
                     raise OracleError(f"non-numeral in support: {v}")
-            return bracket.lower.get(encode_nat(a)).digits(n)
+            return digits
     return None
 
 
@@ -214,8 +213,9 @@ class _RemainderOracle(DistOracle):
     """Digits of 2*D(a) - e(a), derived from the base oracle's digits.
 
     The base digits at precision m pin D(a) inside [t, t + 2^-m], so the
-    target value sits in an interval of width 2^-(m-1); m grows until the
-    first n digits are the same across the whole interval.
+    target value sits in an interval of width 2^-(m-1); m grows until both
+    ends of the interval have the same first n digits, which are then the
+    digits of every value in between.
     """
 
     def __init__(self, base: DistOracle, peeled: Mapping[int, Dyadic]):
@@ -226,16 +226,13 @@ class _RemainderOracle(DistOracle):
         if n == 0:
             return ""
         e = self.peeled.get(a, ZERO).as_fraction()
-        boundary = 1 - Fraction(1, 2**n)
         for m in range(n + 2, n + 2 + QUERY_BUDGET):
             t = self.base.lower_bound(a, m).as_fraction()
             lo = max(Fraction(0), 2 * t - e)
             hi = min(Fraction(1), 2 * t + Fraction(1, 2 ** (m - 1)) - e)
-            if lo >= boundary:
-                # everything in [1 - 2^-n, 1] shares the all-ones prefix
-                return "1" * n
-            if math.floor(lo * 2**n) == math.floor(hi * 2**n):
-                return format(math.floor(lo * 2**n), f"0{n}b")
+            digits = _digits(lo.numerator, lo.denominator, n)
+            if digits == _digits(hi.numerator, hi.denominator, n):
+                return digits
         raise OracleError(
             f"digits of remainder at {a} undetermined within precision budget"
         )

@@ -1,8 +1,10 @@
 """Seeded random generators shared across the test suite, the round
 loop `approximate` is checked against (with or without a graph, and
 never skipping a round), the small-step walker the sampler's machines
-are checked against, and the pattern-matching tree readers the
-encodings' readers are checked against.
+are checked against, the pattern-matching tree readers the encodings'
+readers are checked against, and the canonical-code tree builder and
+floor-formula remainder oracle the bridge between oracles and terms is
+checked against.
 
 Everything takes an explicit random.Random so each suite pins its own
 seed and stays reproducible run to run.
@@ -10,17 +12,20 @@ seed and stays reproducible run to run.
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 from importlib import resources
 
 import plam.smallstep as smallstep
 from plam.checks import load_corpus
 from plam.dist import ONE, ZERO, Dyadic, SubDist
-from plam.encodings import leaf, node
+from plam.encodings import FdtError, _leaf, _node, leaf, node
+from plam.expressiveness import QUERY_BUDGET, OracleError
 from plam.reduction import step
 from plam.sampler import SampleOutcome
 from plam.smallstep import DEFAULT_FRONTIER_CAP, Bracket, FrontierCapError
-from plam.syntax import Abs, App, Choice, Term, Var, is_value
+from plam.syntax import Abs, App, Choice, Term, Var, encode_nat, is_value
 
 
 def random_term(rng: random.Random, max_size: int = 40) -> Term:
@@ -208,3 +213,77 @@ def reference_fdt_shape(t: Term):
                 return None
             return ("node", l, r)
     return None
+
+
+def random_dyadic_dist(
+    rng: random.Random, outcomes: int = 10, largest: int = 50, exp: int = 20
+) -> dict[int, Dyadic]:
+    """Random distribution of total mass 1 over up to `outcomes` naturals
+    no larger than `largest`, with masses over 2^e for some e <= exp
+    (masses of 0 included)."""
+    chosen = rng.sample(range(largest + 1), rng.randint(1, outcomes))
+    e = rng.randint(0, exp)
+    cuts = sorted(rng.randint(0, 1 << e) for _ in chosen[1:])
+    ends = [0, *cuts, 1 << e]
+    return {n: Dyadic(b - a, e) for n, a, b in zip(chosen, ends, ends[1:])}
+
+
+def reference_fdt_from_dist(d) -> Term:
+    """`encodings.fdt_from_dist` by a canonical prefix code: every set bit
+    of a mass is an atom at its depth, atoms sorted by (depth, outcome)
+    take consecutive codewords, and the tree splits the codes on their
+    first digit."""
+    total = ZERO
+    atoms: list[tuple[int, int]] = []  # (depth, outcome)
+    for n in sorted(d):
+        m = d[n]
+        if not m:
+            continue
+        if n < 0:
+            raise FdtError(f"outcome {n} is not a natural number")
+        if m > ONE:
+            raise FdtError(f"mass {m} of outcome {n} exceeds 1")
+        total = total + m
+        for depth in range(m.exp + 1):
+            if (m.num >> (m.exp - depth)) & 1:
+                atoms.append((depth, n))
+    if total != ONE:
+        raise FdtError(f"total mass is {total}, need exactly 1")
+
+    atoms.sort()
+    codes: list[tuple[str, int]] = []
+    code, prev_depth = 0, 0
+    for depth, n in atoms:
+        code <<= depth - prev_depth
+        codes.append((format(code, f"0{depth}b") if depth else "", n))
+        code += 1
+        prev_depth = depth
+
+    def build(codes: list[tuple[str, int]]) -> Term:
+        if len(codes) == 1 and codes[0][0] == "":
+            return _leaf(encode_nat(codes[0][1]))
+        left = [(c[1:], n) for c, n in codes if c[0] == "0"]
+        right = [(c[1:], n) for c, n in codes if c[0] == "1"]
+        return _node(build(left), build(right))
+
+    return build(codes)
+
+
+def reference_remainder_approx(base, peeled, a: int, n: int) -> str:
+    """`expressiveness._RemainderOracle(base, peeled).approx(a, n)` by the
+    floor formula, with the all-ones prefix near 1 as its own case."""
+    if n == 0:
+        return ""
+    e = peeled.get(a, ZERO).as_fraction()
+    boundary = 1 - Fraction(1, 2**n)
+    for m in range(n + 2, n + 2 + QUERY_BUDGET):
+        t = base.lower_bound(a, m).as_fraction()
+        lo = max(Fraction(0), 2 * t - e)
+        hi = min(Fraction(1), 2 * t + Fraction(1, 2 ** (m - 1)) - e)
+        if lo >= boundary:
+            return "1" * n
+        if math.floor(lo * 2**n) == math.floor(hi * 2**n):
+            return format(math.floor(lo * 2**n), f"0{n}b")
+    raise OracleError(
+        f"digits of remainder at {a} undetermined within precision budget"
+    )

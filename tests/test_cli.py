@@ -1,6 +1,8 @@
 """Command line surface: output shapes and exit codes."""
 
 import json
+import random
+import time
 from pathlib import Path
 
 import jsonschema
@@ -8,13 +10,13 @@ import pytest
 
 import plam.cli as cli
 import plam.smallstep as smallstep
-from helpers import count_steps
+from helpers import count_steps, random_dyadic_dist, reference_fdt_from_dist
 from plam.bigstep import eval_big
 from plam.checks import CheckOutcome, run_duality_suite
 from plam.cli import EXIT_CHECK, EXIT_EVAL, EXIT_INVALID, EXIT_OK, main
 from plam.dist import SubDist
 from plam.reduction import STRATEGIES
-from plam.syntax import parse
+from plam.syntax import parse, print_term
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "eval-output.schema.json")
@@ -287,6 +289,26 @@ def test_encode_fdt_rejects_short_mass(capsys):
     code, _, err = run(capsys, ["encode", "fdt", '{"0": {"num": "1", "exp": 1}}'])
     assert code == EXIT_INVALID
     assert err.startswith("error:")
+
+
+def test_encode_fdt_prints_the_canonical_code_tree(capsys):
+    rng = random.Random(20261022)
+    for _ in range(20):
+        d = random_dyadic_dist(rng)
+        spec = json.dumps({str(n): m.to_json() for n, m in d.items()})
+        code, out, err = run(capsys, ["encode", "fdt", spec])
+        assert (code, err) == (EXIT_OK, "")
+        assert out == print_term(reference_fdt_from_dist(d)) + "\n"
+
+
+def test_encode_fdt_rejects_a_tiny_mass_at_once(capsys):
+    started = time.monotonic()
+    spec = '{"0": {"num": "1", "exp": 1000000000}}'
+    code, out, err = run(capsys, ["encode", "fdt", spec])
+    assert time.monotonic() - started < 1.0
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == "error: total mass is 1/2^1000000000, need exactly 1\n"
 
 
 # ---------- demo ----------

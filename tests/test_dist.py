@@ -18,6 +18,7 @@ from plam.dist import (
     Dyadic,
     MassError,
     SubDist,
+    _digits,
     combine,
     from_value,
 )
@@ -165,6 +166,34 @@ def test_digit_expansion_examples():
     assert Dyadic(1, 4).digits(2) == "00"
     # probability one uses the all-ones expansion
     assert ONE.digits(4) == "1111"
+
+
+_DIGIT_VALUES = [
+    Fraction(0),
+    Fraction(1),
+    Fraction(1, 2),
+    Fraction(3, 8),
+    Fraction(1, 2**64),
+    Fraction(2**64 - 1, 2**64),
+    Fraction(2**70 - 3, 2**70),
+    Fraction(1, 3),
+    Fraction(2, 7),
+    Fraction(999, 1000),
+    Fraction(10**30 - 1, 10**30),
+    Fraction(3, 2),
+]
+
+
+@pytest.mark.parametrize("v", _DIGIT_VALUES, ids=str)
+def test_the_digit_rule_is_the_floor_formula(v):
+    for n in range(65):
+        if v >= 1:
+            want = "1" * n
+        else:
+            want = format(v * 2**n // 1, f"0{n}b") if n else ""
+        assert _digits(v.numerator, v.denominator, n) == want
+        if v <= 1 and v.denominator & (v.denominator - 1) == 0:
+            assert Dyadic.from_fraction(v).digits(n) == want
 
 
 @settings(max_examples=200)

@@ -1,6 +1,7 @@
 """Standard program encodings: booleans, numerals, trees, loops."""
 
 import random
+import time
 
 import pytest
 
@@ -8,8 +9,10 @@ from helpers import (
     random_fdt,
     random_open_term,
     random_term,
+    random_dyadic_dist,
     random_value,
     reference_decode_nat,
+    reference_fdt_from_dist,
     reference_fdt_shape,
 )
 from plam.bigstep import eval_big
@@ -38,6 +41,7 @@ from plam.encodings import (
 )
 from plam.reduction import CBN, CBV, step
 from plam.smallstep import approximate, divergence_bracket
+from plam.syntax import print_term
 from plam import encodings
 from plam.syntax import RESERVED, Abs, App, Var, is_value, parse, print_term
 
@@ -304,6 +308,38 @@ def test_random_tree_distributions_round_trip():
         d = {decode_nat(v): m for v, m in pd(tree).items()}
         rebuilt = fdt_from_dist(d)
         assert pd(rebuilt) == pd(tree)
+
+
+def test_trees_match_the_canonical_code_builder():
+    # the Knuth-Yao descent and the canonical prefix code give the same
+    # tree, leaf for leaf, and the same error for the same bad input
+    rng = random.Random(20261021)
+    built = 0
+    for _ in range(600):
+        d = random_dyadic_dist(rng)
+        if rng.random() < 0.1:
+            d[rng.choice(list(d))] = Dyadic(rng.randint(0, 5), rng.randint(0, 3))
+        if rng.random() < 0.05:
+            d[-1] = Dyadic(rng.randint(0, 1), 1)
+        try:
+            want = print_term(reference_fdt_from_dist(d))
+        except FdtError as exc:
+            with pytest.raises(FdtError) as got:
+                fdt_from_dist(d)
+            assert str(got.value) == str(exc)
+            continue
+        assert print_term(fdt_from_dist(d)) == want, d
+        built += 1
+    assert built > 400
+
+
+def test_a_tiny_mass_is_rejected_at_once():
+    started = time.monotonic()
+    with pytest.raises(FdtError, match="need exactly 1"):
+        fdt_from_dist({0: Dyadic(1, 10**9)})
+    with pytest.raises(FdtError, match="exceeds 1"):
+        fdt_from_dist({0: Dyadic(2**64 + 1, 64), 1: Dyadic(1, 10**9)})
+    assert time.monotonic() - started < 1.0
 
 
 # ---------- the geometric program ----------

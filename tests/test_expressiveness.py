@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_fdt
+from helpers import random_dyadic_dist, random_fdt, reference_remainder_approx
 from plam import expressiveness
 from plam.dist import HALF, ONE, Dyadic
 from plam.encodings import (
@@ -20,6 +20,7 @@ from plam.encodings import (
 )
 from plam.expressiveness import (
     ORACLE_TIMEOUT_S,
+    DistOracle,
     FractionOracle,
     OracleError,
     SubprocessOracle,
@@ -87,6 +88,30 @@ def test_soundness_gives_up_when_the_residual_stays_large():
     assert soundness_approx(parse("OMEGA"), 0, 2) is None
 
 
+def test_soundness_with_no_digits_asks_for_nothing():
+    assert soundness_approx(GEO, 0, 0) == ""
+    assert soundness_approx(parse("OMEGA"), 0, 0) == ""
+
+
+# P(NAT 0) = 1/4 + 1/8 + 1/8, the last eighth only after a countdown from
+# NAT 12, so for many rounds the converged mass of NAT 0 is 3/8
+_LATE_HALF = parse(
+    "(TT (+) FF) (\\z. NAT 1) (\\z. (TT (+) FF) (\\z. NAT 0)"
+    " (\\z. (TT (+) FF) (\\z. NAT 0)"
+    " (\\z. H (\\r. \\n. n (\\z. NAT 0) (\\m. \\z. r m) (\\w. w)) (NAT 12))"
+    " (\\w. w)) (\\w. w)) (\\w. w)"
+)
+
+
+def test_soundness_waits_until_both_ends_share_their_digits():
+    # 3/8 reads "01", but the pending 1/8 may still land: only the
+    # digits of the limit 1/2 are returned
+    assert soundness_approx(_LATE_HALF, 0, 1) == "1"
+    assert soundness_approx(_LATE_HALF, 0, 2) == "10"
+    assert soundness_approx(_LATE_HALF, 0, 3) == "100"
+    assert soundness_approx(_LATE_HALF, 1, 3) == "100"
+
+
 def test_soundness_rejects_non_numeral_support():
     with pytest.raises(OracleError):
         soundness_approx(parse("(\\x. x) (\\x. x)"), 0, 2)
@@ -120,6 +145,48 @@ def test_split_of_the_geometric_oracle():
     assert remainder.approx(0, 4) == "0000"
     assert remainder.approx(1, 4) == "1000"
     assert remainder.approx(2, 4) == "0100"
+
+
+class _Counting(DistOracle):
+    """Base oracle that records every query it answers."""
+
+    def __init__(self, inner: DistOracle):
+        self.inner = inner
+        self.queries: list[tuple[int, int]] = []
+
+    def approx(self, a: int, n: int) -> str:
+        self.queries.append((a, n))
+        return self.inner.approx(a, n)
+
+
+def test_remainder_digits_and_queries_match_the_floor_formula():
+    rng = random.Random(20261023)
+    answered = 0
+    for _ in range(300):
+        if rng.random() < 0.5:
+            base = oracle_from_dyadics(random_dyadic_dist(rng, 6, 8))
+        else:
+            # non-dyadic probabilities summing to 1
+            ps = [Fraction(rng.randint(1, 100), rng.randint(100, 400)) for _ in range(6)]
+            ps = [p / sum(ps) for p in ps]
+            base = FractionOracle(
+                lambda a, ps=ps: ps[a] if a < len(ps) else Fraction(0)
+            )
+        _, remainder = split(base)
+        ours, theirs = _Counting(base), _Counting(base)
+        remainder.base = ours
+        for _ in range(3):
+            a, n = rng.randint(0, 7), rng.randint(0, 12)
+            try:
+                want = reference_remainder_approx(theirs, remainder.peeled, a, n)
+            except OracleError as exc:
+                with pytest.raises(OracleError, match=str(exc)):
+                    remainder.approx(a, n)
+            else:
+                assert remainder.approx(a, n) == want
+                answered += 1
+            assert ours.queries == theirs.queries
+    assert answered > 800
 
 
 def test_split_respects_its_query_budget(monkeypatch):
