@@ -20,6 +20,7 @@ through `_subdist`.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Iterable, Mapping
 from decimal import Decimal
@@ -45,6 +46,28 @@ def _integer(text) -> int:
     return int(Decimal(text))
 
 
+# numerators up to this many bits print exactly in error messages
+_EXACT_BITS = 256
+
+
+def _mass_text(num: int, exp: int) -> str:
+    """num/2^exp for an error message.  A numerator longer than
+    _EXACT_BITS shows as its bit count and a float approximation, since
+    its decimal digits take time quadratic in its length to print and
+    would make the message as long."""
+    bits = abs(num).bit_length()
+    if bits <= _EXACT_BITS:
+        return str(num) if exp == 0 else f"{num}/2^{exp}"
+    sign = "-" if num < 0 else ""
+    shift = bits - 64
+    try:
+        value = math.ldexp(num >> shift, shift - exp)
+    except OverflowError:
+        value = 0.0
+    approx = f"{value:.6g}" if value else f"{sign}2^{bits - exp}"
+    return f"{sign}<{bits}-bit numerator>/2^{exp} (about {approx})"
+
+
 class Dyadic:
     """Nonnegative rational num / 2**exp in lowest terms: num is odd, or
     exp is 0.  Immutable; `num` and `exp` are read-only properties over
@@ -58,7 +81,7 @@ class Dyadic:
 
     def __init__(self, num: int, exp: int = 0):
         if num < 0 or exp < 0:
-            raise ValueError(f"not a nonnegative dyadic: {num}/2^{exp}")
+            raise ValueError(f"not a nonnegative dyadic: {_mass_text(num, exp)}")
         if num:
             # strip the trailing zero bits of num, at most exp of them
             shift = (num & -num).bit_length() - 1
@@ -103,7 +126,10 @@ class Dyadic:
     def __sub__(self, other: "Dyadic") -> "Dyadic":
         a, b = self._aligned(other)
         if a < b:
-            raise ValueError(f"negative result: {self} - {other}")
+            raise ValueError(
+                f"negative result: {_mass_text(self._num, self._exp)}"
+                f" - {_mass_text(other._num, other._exp)}"
+            )
         return Dyadic(a - b, max(self._exp, other._exp))
 
     def __mul__(self, other: "Dyadic") -> "Dyadic":
@@ -175,7 +201,7 @@ class Dyadic:
         """First n binary digits of a value in [0, 1]: the truncated
         binary expansion, with the value 1 as all ones (`_digits`)."""
         if self > ONE:
-            raise ValueError(f"{self} > 1 has no digit expansion")
+            raise ValueError(f"{_mass_text(self._num, self._exp)} > 1 has no digit expansion")
         return _digits(self._num, 1 << self._exp, n)
 
 
@@ -226,7 +252,7 @@ class SubDist:
         for m in acc.values():
             total = total + m
         if total > ONE:
-            raise MassError(f"total mass {total} exceeds 1")
+            raise MassError(f"total mass {_mass_text(total._num, total._exp)} exceeds 1")
         self._entries = acc
         self._mass = total
 
@@ -288,7 +314,7 @@ def _subdist(entries: dict[Term, Dyadic], total: Dyadic) -> SubDist:
     """A SubDist that takes over `entries`, a dict from values to positive
     masses whose exact sum is `total`; only the total is checked."""
     if total._num > 1 << total._exp:  # total > ONE
-        raise MassError(f"total mass {total} exceeds 1")
+        raise MassError(f"total mass {_mass_text(total._num, total._exp)} exceeds 1")
     d = _new(SubDist)
     d._entries = entries
     d._mass = total

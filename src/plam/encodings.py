@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .dist import Dyadic, HALF, ONE, ZERO, SubDist, combine, from_value
+from .dist import Dyadic, HALF, ONE, ZERO, SubDist, _mass_text, combine, from_value
 from .reduction import CBV
 from .smallstep import approximate
 from .syntax import (
@@ -186,10 +186,10 @@ def fdt_from_dist(d: Mapping[int, Dyadic]) -> Term:
         if n < 0:
             raise FdtError(f"outcome {n} is not a natural number")
         if m.num >> m.exp and m != ONE:  # m > 1, without shifting ONE to m.exp
-            raise FdtError(f"mass {m} of outcome {n} exceeds 1")
+            raise FdtError(f"mass {_mass_text(m.num, m.exp)} of outcome {n} exceeds 1")
         total = total + m
     if total != ONE:
-        raise FdtError(f"total mass is {total}, need exactly 1")
+        raise FdtError(f"total mass is {_mass_text(total.num, total.exp)}, need exactly 1")
 
     atoms: list[tuple[int, int]] = []  # (depth, outcome), one per set bit
     for n, m in d.items():

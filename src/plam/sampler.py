@@ -8,7 +8,18 @@ operators, the SECD-machine, and the lambda-calculus", 1986) and a
 Krivine machine for call-by-name (Krivine, "A call-by-name
 lambda-calculus machine", HOSC 2007).  Each beta and each fired choice
 counts one step, in the order the small-step strategy fires them, so
-step counts and coin sequences are those of the small-step path.
+step counts and coin sequences are those of the small-step path.  In
+the CEK machine an application whose argument is a variable or an
+abstraction pushes that argument's closure under one frame, "apply the
+incoming function to this": a value takes no step, so the argument
+needs no frame of its own.
+
+The machines never build terms: every closure pairs a subterm of the
+input with an environment.  So `estimate` counts samples by their final
+closure's key, the id of its term plus the keys of the closures its
+free names map to, and equal keys read back to identical terms.  Only
+the first closure of each key is read back, once the samples are in,
+and outcomes that read back alpha-equal merge in the counts.
 Aggregation is by exact integer counts so results are independent of
 sample order, and the seed plus generator name are recorded for replay.
 """
@@ -16,7 +27,6 @@ sample order, and the seed plus generator name are recorded for replay.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,20 +36,38 @@ from .syntax import Abs, App, Choice, OpenTermError, Term, Var, print_term
 RNG_ALGORITHM = "python-random-mersenne-twister"
 
 
-@dataclass(frozen=True)
 class SampleOutcome:
-    result: Term | None  # None means the step budget ran out
-    steps_used: int
+    """One path's final value, None once the step budget ran out, and
+    the steps it used.  An outcome of `sample_run` holds the machine's
+    final closure and reads it back the first time `result` is read."""
+
+    __slots__ = ("_result", "_closure", "steps_used")
+
+    def __init__(self, result: Term | None, steps_used: int):
+        self._result = result
+        self._closure = None
+        self.steps_used = steps_used
+
+    @property
+    def result(self) -> Term | None:
+        if self._closure is not None:
+            self._result = _read_back(self._closure, {})
+            self._closure = None
+        return self._result
 
     @property
     def timed_out(self) -> bool:
-        return self.result is None
+        return self._result is None and self._closure is None
+
+    def __repr__(self) -> str:
+        return f"SampleOutcome(result={self.result!r}, steps_used={self.steps_used!r})"
 
 
 # A closure is a (term, env) pair whose env maps every free name of the
 # term to a closed closure.  Frames of the CEK continuation stack are
-# (tag, term or value, env) triples.
-_ARG, _FUN, _RIGHT, _FLIP = range(4)
+# (tag, term or value, env) triples; an _APPLY frame holds the argument
+# value that the function value coming back is applied to.
+_ARG, _FUN, _APPLY, _RIGHT, _FLIP = range(5)
 
 
 def _run_cbv(t: Term, max_steps: int, rng):
@@ -52,7 +80,14 @@ def _run_cbv(t: Term, max_steps: int, rng):
     while True:
         kind = type(term)
         if kind is App:
-            stack.append((_ARG, term._arg, env))
+            arg = term._arg
+            kind = type(arg)
+            if kind is Var:
+                stack.append((_APPLY, env[arg._name], None))
+            elif kind is Abs:
+                stack.append((_APPLY, (arg, env), None))
+            else:
+                stack.append((_ARG, arg, env))
             term = term._fun
             continue
         if kind is Choice:
@@ -64,27 +99,33 @@ def _run_cbv(t: Term, max_steps: int, rng):
             if not stack:
                 return value, steps
             tag, a, b = stack.pop()
-            if tag == _ARG:
+            if tag == _APPLY:
+                fun, arg = value, a
+            elif tag == _FUN:
+                fun, arg = a, value
+            elif tag == _ARG:
                 stack.append((_FUN, value, None))
                 term, env = a, b
                 break
-            if tag == _RIGHT:
+            elif tag == _RIGHT:
                 stack.append((_FLIP, value, None))
                 term, env = a, b
                 break
-            steps += 1
-            if tag == _FUN:
+            else:
+                # _FLIP: the step past the budget still tosses its coin,
+                # as the small-step path takes that step before it stops
+                steps += 1
+                if rng.getrandbits(1):
+                    value = a
                 if steps > max_steps:
                     return None
-                fun, fun_env = a
-                term, env = fun._body, {**fun_env, fun._binder: value}
-                break
-            # _FLIP: the step past the budget still tosses its coin, as
-            # the small-step path takes that step before it stops
-            if rng.getrandbits(1):
-                value = a
+                continue
+            steps += 1
             if steps > max_steps:
                 return None
+            fun, fun_env = fun
+            term, env = fun._body, {**fun_env, fun._binder: arg}
+            break
 
 
 def _run_cbn(t: Term, max_steps: int, rng):
@@ -131,8 +172,8 @@ def _read_back(closure, memo: dict) -> Term:
 def _close(t: Term, env: dict, memo: dict) -> Term:
     """t with each free name replaced by the term of its closure.  Those
     terms are closed, so no binder of t needs renaming.  Read-back runs
-    once per sample, so this tests the type and reads slots, as the
-    machines do."""
+    once per distinct outcome, so this tests the type and reads slots, as
+    the machines do."""
     if t._free.isdisjoint(env):
         return t
     kind = type(t)
@@ -146,6 +187,22 @@ def _close(t: Term, env: dict, memo: dict) -> Term:
     if kind is Choice:
         return Choice(_close(t._left, env, memo), _close(t._right, env, memo))
     return _read_back(env[t._name], memo)
+
+
+def _closure_key(closure, interned: dict, memo: dict) -> int:
+    """An int that two closures share only if they read back to the same
+    term: the id of the closure's term, a subterm of the input, and the
+    keys of the closures its free names map to, in the order of that
+    term's own free-name set.  interned numbers these tuples for the
+    whole batch; memo maps the ids of one sample's closures to their
+    keys, as _read_back does."""
+    ident = id(closure)
+    key = memo.get(ident)
+    if key is None:
+        term, env = closure
+        parts = (id(term), *[_closure_key(env[name], interned, memo) for name in term._free])
+        key = memo[ident] = interned.setdefault(parts, len(interned))
+    return key
 
 
 _MACHINES = {"cbv": _run_cbv, "cbn": _run_cbn}
@@ -166,7 +223,9 @@ def sample_run(t: Term, strategy: str, max_steps: int, rng: random.Random) -> Sa
     if final is None:
         return SampleOutcome(None, max_steps)
     closure, steps = final
-    return SampleOutcome(_read_back(closure, {}), steps)
+    outcome = SampleOutcome(None, steps)
+    outcome._closure = closure
+    return outcome
 
 
 @dataclass
@@ -210,19 +269,34 @@ class EstimateResult:
 def estimate(
     t: Term, strategy: str, samples: int, max_steps: int, seed: int
 ) -> EstimateResult:
-    """Aggregate `samples` independent runs started from a fixed seed."""
+    """Aggregate `samples` independent runs started from a fixed seed.
+
+    Samples are counted by final closure (`_closure_key`), and the first
+    closure of each key is read back once, after the last sample.  The
+    counts keep the order in which outcomes were first sampled."""
     if samples <= 0:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
-    counts: Counter[Term] = Counter()
+    interned: dict[tuple, int] = {}
+    by_key: dict[int, int] = {}  # closure key -> count, in first-seen order
+    firsts: dict[int, tuple] = {}  # closure key -> its first closure
     timeouts = 0
     for _ in range(samples):
         outcome = sample_run(t, strategy, max_steps, rng)
         if outcome.timed_out:
             timeouts += 1
-        else:
-            counts[outcome.result] += 1
+            continue
+        closure = outcome._closure
+        key = _closure_key(closure, interned, {})
+        by_key[key] = by_key.get(key, 0) + 1
+        firsts.setdefault(key, closure)
+    # distinct subterms, or one subterm in two environments, can still
+    # read back alpha-equal, and those merge here
+    counts: dict[Term, int] = {}
+    for key, n in by_key.items():
+        v = _read_back(firsts[key], {})
+        counts[v] = counts.get(v, 0) + n
     result = EstimateResult(strategy, samples, max_steps, seed)
-    result.counts = dict(counts)
+    result.counts = counts
     result.timeouts = timeouts
     return result

@@ -311,6 +311,17 @@ def test_encode_fdt_rejects_a_tiny_mass_at_once(capsys):
     assert err == "error: total mass is 1/2^1000000000, need exactly 1\n"
 
 
+def test_encode_fdt_shortens_a_huge_mass_in_its_error(capsys):
+    started = time.monotonic()
+    spec = '{"0": {"num": "1", "exp": 0}, "1": {"num": "1", "exp": 2000000}}'
+    code, out, err = run(capsys, ["encode", "fdt", spec])
+    assert time.monotonic() - started < 1.0
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.count("\n") == 1 and len(err) < 300
+    assert err.startswith("error: total mass is <2000001-bit numerator>/2^2000000 (about 1)")
+
+
 # ---------- demo ----------
 
 @pytest.mark.parametrize("topic", ["xor", "geo", "omega", "standard-choice"])

@@ -118,6 +118,25 @@ def test_str_format():
     assert str(ONE) == "1"
 
 
+def test_error_messages_shorten_only_huge_numerators():
+    small = Dyadic(2**200 + 1, 201)
+    with pytest.raises(ValueError) as exc:
+        Dyadic(1, 300) - small
+    assert str(exc.value) == f"negative result: 1/2^300 - {small}"
+    huge = Dyadic(2**5000 + 1, 4999)  # about 2
+    with pytest.raises(ValueError) as exc:
+        huge.digits(4)
+    assert str(exc.value) == "<5001-bit numerator>/2^4999 (about 2) > 1 has no digit expansion"
+    with pytest.raises(MassError) as exc:
+        SubDist({parse("\\x. x"): huge})
+    assert str(exc.value) == "total mass <5001-bit numerator>/2^4999 (about 2) exceeds 1"
+    with pytest.raises(ValueError, match="^not a nonnegative dyadic: -<5001-bit numerator>/2\\^0 "):
+        Dyadic(-(2**5000), 0)
+    # everything but an error message stays exact
+    assert str(huge) == f"{2**5000 + 1}/2^4999"
+    assert Dyadic.from_json(huge.to_json()) == huge
+
+
 @settings(max_examples=200)
 @given(dyadics, dyadics)
 def test_add_matches_fraction_arithmetic(a, b):

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import gate_terms, reference_sample_run
 from plam.encodings import FF, GEO, TT, decode_nat
+from plam import sampler
 from plam.reduction import CBN, CBV, STRATEGIES
 from plam.sampler import RNG_ALGORITHM, estimate, sample_run
 from plam.syntax import Choice, OpenTermError, Var, parse, print_term
@@ -189,6 +190,69 @@ def test_seeded_counts_are_pinned():
         "\\x0. x0": 374,
     }
     assert r.timeouts == 266
+
+
+def _recording_sample_run(monkeypatch):
+    """Route estimate's samples through a wrapper of `sampler.sample_run`
+    that records each (generator, outcome) pair."""
+    calls = []
+    original = sampler.sample_run
+
+    def recorded(t, strategy, max_steps, rng):
+        outcome = original(t, strategy, max_steps, rng)
+        calls.append((rng, outcome))
+        return outcome
+
+    monkeypatch.setattr(sampler, "sample_run", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_estimate_matches_counting_each_sample_by_its_term(strategy, monkeypatch):
+    calls = _recording_sample_run(monkeypatch)
+    samples = 6
+    for i, t in enumerate(_gate_terms()):
+        calls.clear()
+        seed, max_steps = 3 * i + 1, 12
+        got = estimate(t, strategy, samples, max_steps, seed)
+        rng = random.Random(seed)
+        want: dict = {}
+        timeouts = 0
+        for _ in range(samples):
+            outcome = sample_run(t, strategy, max_steps, rng)
+            if outcome.timed_out:
+                timeouts += 1
+            else:
+                want[outcome.result] = want.get(outcome.result, 0) + 1
+        assert list(got.counts.items()) == list(want.items()), print_term(t)
+        assert [print_term(v) for v in got.counts] == [print_term(v) for v in want]
+        assert got.timeouts == timeouts
+        # every sample went through sampler.sample_run, on one generator
+        assert len(calls) == samples
+        assert calls[-1][0].getstate() == rng.getstate()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize(
+    "text",
+    [
+        # two distinct subterms with the same value
+        "(\\x. x) (+) (\\y. y)",
+        # one subterm, \y. x, in two environments whose x reads back
+        # alpha-equal
+        "(\\f. f TT (+) f (\\a. \\b. a)) (\\x. \\y. x)",
+    ],
+)
+def test_alpha_equal_outcomes_of_distinct_closures_merge(strategy, text, monkeypatch):
+    calls = _recording_sample_run(monkeypatch)
+    r = estimate(parse(text), strategy, 64, 20, 11)
+    assert r.timeouts == 0
+    assert list(r.counts.values()) == [64]
+    # the samples ended in closures with distinct keys, so the merge is
+    # the read-back stage's
+    interned: dict = {}
+    keys = {sampler._closure_key(o._closure, interned, {}) for _, o in calls}
+    assert len(keys) == 2
 
 
 def test_estimate_rejects_empty_sample_counts():
