@@ -176,7 +176,7 @@ class Dyadic:
         f = Fraction(f)
         d = f.denominator
         if d & (d - 1):
-            raise ValueError(f"denominator of {f} is not a power of two")
+            raise ValueError(f"denominator {_mass_text(d, 0)} is not a power of two")
         return cls(f.numerator, d.bit_length() - 1)
 
     def as_fraction(self) -> Fraction:
@@ -195,7 +195,7 @@ class Dyadic:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Dyadic":
-        return cls(_integer(obj["num"]), int(obj["exp"]))
+        return cls(_integer(obj["num"]), _integer(obj["exp"]))
 
     def digits(self, n: int) -> str:
         """First n binary digits of a value in [0, 1]: the truncated

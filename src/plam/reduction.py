@@ -38,49 +38,37 @@ class StuckTermError(RuntimeError):
 
 
 def step_cbv(t: Term, graph: dict) -> list[Term] | None:
-    """Call-by-value: arguments are evaluated before beta, and both
-    branches of a choice are evaluated before the coin is tossed."""
+    """Call-by-value: an application or a choice evaluates its left part
+    to a value, then its right part, and then fires: beta substitutes
+    the argument value, and the coin picks one of the two branch values."""
     kind = type(t)
     if kind is App:
-        fun, arg = t._fun, t._arg
-        head, kind = type(fun), type(arg)
-        if head is not Abs and head is not Var:
-            inner = graph.get(fun) or step_cbv(fun, graph)
-            if len(inner) == 1:
-                succs = [App(inner[0], arg)]
-            else:
-                succs = [App(inner[0], arg), App(inner[1], arg)]
-        elif kind is not Abs and kind is not Var:
-            inner = graph.get(arg) or step_cbv(arg, graph)
-            if len(inner) == 1:
-                succs = [App(fun, inner[0])]
-            else:
-                succs = [App(fun, inner[0]), App(fun, inner[1])]
-        elif head is Abs:
-            succs = [substitute(fun._body, fun._binder, arg)]
-        else:
-            raise StuckTermError(f"variable in head position: {t}")
+        make, left, right = App, t._fun, t._arg
     elif kind is Choice:
-        left, right = t._left, t._right
-        head, kind = type(left), type(right)
-        if head is not Abs and head is not Var:
-            inner = graph.get(left) or step_cbv(left, graph)
-            if len(inner) == 1:
-                succs = [Choice(inner[0], right)]
-            else:
-                succs = [Choice(inner[0], right), Choice(inner[1], right)]
-        elif kind is not Abs and kind is not Var:
-            inner = graph.get(right) or step_cbv(right, graph)
-            if len(inner) == 1:
-                succs = [Choice(left, inner[0])]
-            else:
-                succs = [Choice(left, inner[0]), Choice(left, inner[1])]
-        else:
-            succs = [left, right]
+        make, left, right = Choice, t._left, t._right
     elif kind is Abs or kind is Var:
         return None
     else:
         raise TypeError(f"not a term: {t!r}")
+    head, kind = type(left), type(right)
+    if head is not Abs and head is not Var:
+        inner = graph.get(left) or step_cbv(left, graph)
+        if len(inner) == 1:
+            succs = [make(inner[0], right)]
+        else:
+            succs = [make(inner[0], right), make(inner[1], right)]
+    elif kind is not Abs and kind is not Var:
+        inner = graph.get(right) or step_cbv(right, graph)
+        if len(inner) == 1:
+            succs = [make(left, inner[0])]
+        else:
+            succs = [make(left, inner[0]), make(left, inner[1])]
+    elif make is Choice:
+        succs = [left, right]
+    elif head is Abs:
+        succs = [substitute(left._body, left._binder, right)]
+    else:
+        raise StuckTermError(f"variable in head position: {t}")
     graph[t] = succs
     return succs
 

@@ -15,11 +15,13 @@ incoming function to this": a value takes no step, so the argument
 needs no frame of its own.
 
 The machines never build terms: every closure pairs a subterm of the
-input with an environment.  So `estimate` counts samples by their final
-closure's key, the id of its term plus the keys of the closures its
-free names map to, and equal keys read back to identical terms.  Only
-the first closure of each key is read back, once the samples are in,
-and outcomes that read back alpha-equal merge in the counts.
+input with an environment.  A closure reads back to its term with each
+free name substituted by the read-back of that name's closure; those
+are closed, so `substitute` renames nothing.  `estimate` reads every
+sample back through one table per batch, keyed on the id of the
+closure's term and the ids of its names' read-backs: an outcome seen
+before costs one walk of its closures and builds no term, and outcomes
+that read back alpha-equal from distinct keys merge in the counts.
 Aggregation is by exact integer counts so results are independent of
 sample order, and the seed plus generator name are recorded for replay.
 """
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dist import sorted_by_term
-from .syntax import Abs, App, Choice, OpenTermError, Term, Var, print_term
+from .syntax import Abs, App, Choice, OpenTermError, Term, Var, print_term, substitute
 
 RNG_ALGORITHM = "python-random-mersenne-twister"
 
@@ -51,7 +53,7 @@ class SampleOutcome:
     @property
     def result(self) -> Term | None:
         if self._closure is not None:
-            self._result = _read_back(self._closure, {})
+            self._result = _read_back(self._closure, {}, {})
             self._closure = None
         return self._result
 
@@ -160,49 +162,28 @@ def _run_cbn(t: Term, max_steps: int, rng):
             return (term, env), steps
 
 
-def _read_back(closure, memo: dict) -> Term:
-    """The closed term a closure stands for; memo maps closure ids to
-    terms read back already, so shared closures stay shared."""
-    key = id(closure)
-    if key not in memo:
-        memo[key] = _close(*closure, memo)
-    return memo[key]
-
-
-def _close(t: Term, env: dict, memo: dict) -> Term:
-    """t with each free name replaced by the term of its closure.  Those
-    terms are closed, so no binder of t needs renaming.  Read-back runs
-    once per distinct outcome, so this tests the type and reads slots, as
-    the machines do."""
-    if t._free.isdisjoint(env):
-        return t
-    kind = type(t)
-    if kind is App:
-        return App(_close(t._fun, env, memo), _close(t._arg, env, memo))
-    if kind is Abs:
-        binder = t._binder
-        if binder in env:
-            env = {k: v for k, v in env.items() if k != binder}
-        return Abs(binder, _close(t._body, env, memo))
-    if kind is Choice:
-        return Choice(_close(t._left, env, memo), _close(t._right, env, memo))
-    return _read_back(env[t._name], memo)
-
-
-def _closure_key(closure, interned: dict, memo: dict) -> int:
-    """An int that two closures share only if they read back to the same
-    term: the id of the closure's term, a subterm of the input, and the
-    keys of the closures its free names map to, in the order of that
-    term's own free-name set.  interned numbers these tuples for the
-    whole batch; memo maps the ids of one sample's closures to their
-    keys, as _read_back does."""
+def _read_back(closure, table: dict, memo: dict) -> Term:
+    """The closed term a closure stands for.  table maps the id of a
+    closure's term and the ids of its free names' read-backs, in the
+    order of that term's free-name set, to the term built for them, and
+    keeps those terms alive so the ids stay theirs; memo maps the ids
+    of one sample's closures to their read-backs, so shared closures
+    are walked once."""
     ident = id(closure)
-    key = memo.get(ident)
-    if key is None:
+    v = memo.get(ident)
+    if v is None:
         term, env = closure
-        parts = (id(term), *[_closure_key(env[name], interned, memo) for name in term._free])
-        key = memo[ident] = interned.setdefault(parts, len(interned))
-    return key
+        names = term._free
+        parts = [_read_back(env[name], table, memo) for name in names]
+        key = (id(term), *map(id, parts))
+        v = table.get(key)
+        if v is None:
+            v = term
+            for name, part in zip(names, parts):
+                v = substitute(v, name, part)
+            table[key] = v
+        memo[ident] = v
+    return v
 
 
 _MACHINES = {"cbv": _run_cbv, "cbn": _run_cbn}
@@ -271,31 +252,22 @@ def estimate(
 ) -> EstimateResult:
     """Aggregate `samples` independent runs started from a fixed seed.
 
-    Samples are counted by final closure (`_closure_key`), and the first
-    closure of each key is read back once, after the last sample.  The
-    counts keep the order in which outcomes were first sampled."""
+    Each sample is read back through one table for the batch
+    (`_read_back`).  The counts keep the order in which outcomes were
+    first sampled."""
     if samples <= 0:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
-    interned: dict[tuple, int] = {}
-    by_key: dict[int, int] = {}  # closure key -> count, in first-seen order
-    firsts: dict[int, tuple] = {}  # closure key -> its first closure
+    table: dict[tuple, Term] = {}
+    counts: dict[Term, int] = {}
     timeouts = 0
     for _ in range(samples):
         outcome = sample_run(t, strategy, max_steps, rng)
         if outcome.timed_out:
             timeouts += 1
             continue
-        closure = outcome._closure
-        key = _closure_key(closure, interned, {})
-        by_key[key] = by_key.get(key, 0) + 1
-        firsts.setdefault(key, closure)
-    # distinct subterms, or one subterm in two environments, can still
-    # read back alpha-equal, and those merge here
-    counts: dict[Term, int] = {}
-    for key, n in by_key.items():
-        v = _read_back(firsts[key], {})
-        counts[v] = counts.get(v, 0) + n
+        v = _read_back(outcome._closure, table, {})
+        counts[v] = counts.get(v, 0) + 1
     result = EstimateResult(strategy, samples, max_steps, seed)
     result.counts = counts
     result.timeouts = timeouts

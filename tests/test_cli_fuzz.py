@@ -90,6 +90,8 @@ def _command(draw, corpora) -> list[str]:
                         '{"0": {"num": "1", "exp": 0}}',
                         '{"0": {"num": "3", "exp": 1}}',
                         '{"-1": {"num": "1", "exp": 0}}',
+                        '{"0": {"num": "1", "exp": 1e400}}',
+                        '{"0": {"num": "1", "exp": 0.5}}',
                         "{}",
                         "[1]",
                     ]

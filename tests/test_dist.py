@@ -177,6 +177,9 @@ def test_from_fraction_round_trip():
     assert Dyadic.from_fraction(Fraction(3, 8)) == Dyadic(3, 3)
     with pytest.raises(ValueError):
         Dyadic.from_fraction(Fraction(1, 3))
+    # the message names the denominator, not the numerator's 5000 digits
+    with pytest.raises(ValueError, match="^denominator 3 is not a power of two$"):
+        Dyadic.from_fraction(Fraction(10**5000 + 1, 3))
 
 
 def test_digit_expansion_examples():
@@ -231,10 +234,15 @@ def test_json_round_trip_keeps_exactness():
     assert Dyadic.from_json({"num": 12345, "exp": 20}) == d
 
 
-@pytest.mark.parametrize("num", ["1.5", "1E0", "10e0", " 1", "0x1", "", 1.0, True])
-def test_from_json_rejects_anything_but_decimal_digits(num):
+# float("inf") is what JSON's 1e400 parses to
+@pytest.mark.parametrize(
+    "text", ["1.5", "1E0", "10e0", " 1", "0x1", "", 1.0, True, 1.99, 0.5, float("inf")]
+)
+def test_from_json_rejects_anything_but_decimal_digits(text):
     with pytest.raises(ValueError):
-        Dyadic.from_json({"num": num, "exp": 0})
+        Dyadic.from_json({"num": text, "exp": 0})
+    with pytest.raises(ValueError):
+        Dyadic.from_json({"num": "3", "exp": text})
 
 
 # ---------- SubDist ----------

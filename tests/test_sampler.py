@@ -248,11 +248,30 @@ def test_alpha_equal_outcomes_of_distinct_closures_merge(strategy, text, monkeyp
     r = estimate(parse(text), strategy, 64, 20, 11)
     assert r.timeouts == 0
     assert list(r.counts.values()) == [64]
-    # the samples ended in closures with distinct keys, so the merge is
-    # the read-back stage's
-    interned: dict = {}
-    keys = {sampler._closure_key(o._closure, interned, {}) for _, o in calls}
-    assert len(keys) == 2
+    # through one table, as estimate reads them, the samples' closures
+    # read back to two distinct objects, so the merge is the counts'
+    table: dict = {}
+    values = [sampler._read_back(o._closure, table, {}) for _, o in calls]
+    assert len({id(v) for v in values}) == 2
+    assert len(set(values)) == 1
+
+
+def test_an_outcome_seen_again_builds_nothing(monkeypatch):
+    built = []
+    original = sampler.substitute
+
+    def recorded(body, var, replacement):
+        v = original(body, var, replacement)
+        built.append(v)
+        return v
+
+    monkeypatch.setattr(sampler, "substitute", recorded)
+    r = estimate(GEO, CBV, 100, 2000, 3)
+    assert r.timeouts == 0 and len(r.counts) == 7
+    # no substitution builds a term built before, up to alpha, and the
+    # hundred samples cost a handful of them
+    assert len(set(built)) == len(built)
+    assert len(built) <= 10
 
 
 def test_estimate_rejects_empty_sample_counts():
