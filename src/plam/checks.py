@@ -13,7 +13,7 @@ from .bigstep import eval_big
 from .dist import ONE
 from .reduction import CBN, CBV
 from .smallstep import DEFAULT_FRONTIER_CAP, approximate
-from .syntax import Term, parse
+from .syntax import OpenTermError, ParseError, Term, parse
 
 # largest big-step fuel the bigsmall suite tries when matching a
 # stabilized small-step run
@@ -32,12 +32,22 @@ class CheckOutcome:
 
 
 def load_corpus(path: str) -> list[tuple[str, Term]]:
+    """(text, term) per closed term; an error names its line in the file."""
     entries = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            text = line.split("--", 1)[0].strip()
-            if text:
-                entries.append((text, parse(text)))
+        source = handle.read()
+    start = 0
+    for number, line in enumerate(source.split("\n"), 1):
+        text = line.split("--", 1)[0]
+        if text.strip():
+            try:
+                term = parse(text)
+            except ParseError as exc:
+                raise ParseError(exc.reason, source, start + exc.pos) from None
+            if term.free_names:
+                raise ValueError(f"{OpenTermError(term)} (line {number})")
+            entries.append((text.strip(), term))
+        start += len(line) + 1
     return entries
 
 

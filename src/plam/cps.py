@@ -115,27 +115,26 @@ def colon_v(t: Term, cont: Term) -> Term:
     """Administrative normal form of <t translated> applied to cont.
 
     cont must be a value; the translated application reaches this form
-    by single-successor call-by-name steps alone.
+    by single-successor call-by-name steps alone; `_colon_v` builds it.
     """
     if not is_value(cont):
         raise ValueError(f"continuation must be a value: {cont}")
-    k = _fresh(t, cont)
+    return _colon_v(t, cont, _fresh(t, cont))
 
-    def colon(t: Term, cont: Term) -> Term:
-        match t:
-            case Var() | Abs():
-                return App(cont, _psi(t, k))
-            case App(m, n) | Choice(m, n) if not is_value(m):
-                a, b = k(), k()
-                return colon(m, _rest(t, n, a, b, cont, k))
-            case App(m, n) | Choice(m, n) if not is_value(n):
-                b = k()
-                return colon(n, Abs(b, _fire(t, _psi(m, k), Var(b), cont, k)))
-            case App(m, n) | Choice(m, n):
-                return _fire(t, _psi(m, k), _psi(n, k), cont, k)
-        raise TypeError(f"not a term: {t!r}")
 
-    return colon(t, cont)
+def _colon_v(t: Term, cont: Term, k: _Fresh) -> Term:
+    match t:
+        case Var() | Abs():
+            return App(cont, _psi(t, k))
+        case App(m, n) | Choice(m, n) if not is_value(m):
+            a, b = k(), k()
+            return _colon_v(m, _rest(t, n, a, b, cont, k), k)
+        case App(m, n) | Choice(m, n) if not is_value(n):
+            b = k()
+            return _colon_v(n, Abs(b, _fire(t, _psi(m, k), Var(b), cont, k)), k)
+        case App(m, n) | Choice(m, n):
+            return _fire(t, _psi(m, k), _psi(n, k), cont, k)
+    raise TypeError(f"not a term: {t!r}")
 
 
 # ---------- call-by-name source, call-by-value target ----------
@@ -193,24 +192,23 @@ def phi_dist(d: SubDist) -> SubDist:
 
 def colon_n(t: Term, cont: Term) -> Term:
     """Administrative normal form of <t translated> applied to cont,
-    reached by single-successor call-by-value steps alone."""
+    reached by single-successor call-by-value steps alone; `_colon_n` builds it."""
     if not is_value(cont):
         raise ValueError(f"continuation must be a value: {cont}")
-    k = _fresh(t, cont)
+    return _colon_n(t, cont, _fresh(t, cont))
 
-    def colon(t: Term, cont: Term) -> Term:
-        match t:
-            case Var() | Abs():
-                return App(cont, _phi(t, k))
-            case App(m, n) if not is_value(m):
-                return colon(m, _arg_cont(k(), n, cont, k))
-            case App(m, n):
-                return App(App(_phi(m, k), _n2v(n, k)), cont)
-            case Choice(left, right):
-                return App(_feeders(left, right, k), cont)
-        raise TypeError(f"not a term: {t!r}")
 
-    return colon(t, cont)
+def _colon_n(t: Term, cont: Term, k: _Fresh) -> Term:
+    match t:
+        case Var() | Abs():
+            return App(cont, _phi(t, k))
+        case App(m, n) if not is_value(m):
+            return _colon_n(m, _arg_cont(k(), n, cont, k), k)
+        case App(m, n):
+            return App(App(_phi(m, k), _n2v(n, k)), cont)
+        case Choice(left, right):
+            return App(_feeders(left, right, k), cont)
+    raise TypeError(f"not a term: {t!r}")
 
 
 # ---------- simulation checks ----------
@@ -242,23 +240,15 @@ def _check_simulation(
     mapped = map_dist(source.lower)
     if not source.residual and not target.residual:
         if mapped == target.lower:
-            return SimulationReport(
-                "PASS", source, target, mapped, "stabilized, exactly equal"
-            )
-        return SimulationReport(
-            "FAIL", source, target, mapped, "stabilized but unequal"
-        )
-    if _brackets_overlap(mapped, source.residual, target.lower, target.residual):
-        return SimulationReport(
-            "BRACKET-CONSISTENT",
-            source,
-            target,
-            mapped,
-            "not stabilized; brackets overlap pointwise",
-        )
-    return SimulationReport(
-        "FAIL", source, target, mapped, "brackets disjoint at some value"
-    )
+            status, detail = "PASS", "stabilized, exactly equal"
+        else:
+            status, detail = "FAIL", "stabilized but unequal"
+    elif _brackets_overlap(mapped, source.residual, target.lower, target.residual):
+        status = "BRACKET-CONSISTENT"
+        detail = "not stabilized; brackets overlap pointwise"
+    else:
+        status, detail = "FAIL", "brackets disjoint at some value"
+    return SimulationReport(status, source, target, mapped, detail)
 
 
 def check_simulation_v_by_n(
@@ -266,9 +256,7 @@ def check_simulation_v_by_n(
 ) -> SimulationReport:
     """Compare psi of the call-by-value run against the call-by-name run
     of the translation applied to the identity continuation."""
-    return _check_simulation(
-        t, fuel, frontier_cap, CBV, CBN, cps_v_to_n, psi_dist
-    )
+    return _check_simulation(t, fuel, frontier_cap, CBV, CBN, cps_v_to_n, psi_dist)
 
 
 def check_simulation_n_by_v(
@@ -276,6 +264,4 @@ def check_simulation_n_by_v(
 ) -> SimulationReport:
     """Dual direction: phi of the call-by-name run against the
     call-by-value run of the translation applied to the identity."""
-    return _check_simulation(
-        t, fuel, frontier_cap, CBN, CBV, cps_n_to_v, phi_dist
-    )
+    return _check_simulation(t, fuel, frontier_cap, CBN, CBV, cps_n_to_v, phi_dist)

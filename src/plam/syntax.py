@@ -26,7 +26,8 @@ subpatterns costs about ten times a type test and two slot reads, and a
 property read costs more than a slot read.  `__match_args__` names the
 slots for the cold walks (printing, canonical forms, the CPS
 translations, the other encodings), which keep their `match`
-statements.
+statements.  Recursive walks are module-level functions: a nested one
+calling itself through its own cell would leave a cycle per call.
 
 The concrete syntax is
 
@@ -57,6 +58,7 @@ class ParseError(ValueError):
         line = text.count("\n", 0, pos) + 1
         col = pos - (text.rfind("\n", 0, pos) + 1) + 1
         super().__init__(f"{message} (line {line}, column {col})")
+        self.reason = message
         self.pos = pos
         self.line = line
         self.col = col
@@ -293,27 +295,27 @@ def fresh_name(base: str, avoid) -> str:
 
 def substitute(body: Term, var: str, replacement: Term) -> Term:
     """Capture-avoiding substitution of replacement for free var in body."""
-    repl_free = replacement._free
+    return _substitute(body, var, replacement, replacement._free)
 
-    def go(t: Term) -> Term:
-        if var not in t._free:
-            return t
-        kind = type(t)
-        if kind is App:
-            return App(go(t._fun), go(t._arg))
-        if kind is Abs:
-            # var is free in t, so binder != var here
-            binder, inner = t._binder, t._body
-            if binder in repl_free:
-                renamed = fresh_name(binder, repl_free | inner._free | {var})
-                inner = substitute(inner, binder, Var(renamed))
-                binder = renamed
-            return Abs(binder, go(inner))
-        if kind is Choice:
-            return Choice(go(t._left), go(t._right))
-        return replacement  # the variable var itself
 
-    return go(body)
+def _substitute(t: Term, var: str, repl: Term, repl_free) -> Term:
+    if var not in t._free:
+        return t
+    kind = type(t)
+    if kind is App:
+        fun = _substitute(t._fun, var, repl, repl_free)
+        return App(fun, _substitute(t._arg, var, repl, repl_free))
+    if kind is Abs:
+        # var is free in t, so binder != var here
+        binder, inner = t._binder, t._body
+        if binder in repl_free:
+            binder = fresh_name(binder, repl_free | inner._free | {var})
+            inner = substitute(inner, t._binder, Var(binder))
+        return Abs(binder, _substitute(inner, var, repl, repl_free))
+    if kind is Choice:
+        left = _substitute(t._left, var, repl, repl_free)
+        return Choice(left, _substitute(t._right, var, repl, repl_free))
+    return repl  # the variable var itself
 
 
 def canonicalize(t: Term) -> Term:
@@ -323,22 +325,23 @@ def canonicalize(t: Term) -> Term:
     same canonical term.  The binder structure is read off the key.
     """
     names = (n for n in map("x{}".format, count()) if n not in t._free)
+    return _from_key(t.alpha_key, (), names)
 
-    def go(key, scope: tuple[str, ...]) -> Term:
-        match key:
-            case ("f", name):
-                return Var(name)
-            case ("b", index):
-                return Var(scope[index])
-            case ("l", body):
-                name = next(names)
-                return Abs(name, go(body, (name, *scope)))
-            case ("a", fun, arg):
-                return App(go(fun, scope), go(arg, scope))
-            case ("c", left, right):
-                return Choice(go(left, scope), go(right, scope))
 
-    return go(t.alpha_key, ())
+def _from_key(key, scope: tuple[str, ...], names) -> Term:
+    """key's term; `scope` names its enclosing binders, innermost first."""
+    match key:
+        case ("f", name):
+            return Var(name)
+        case ("b", index):
+            return Var(scope[index])
+        case ("l", body):
+            name = next(names)
+            return Abs(name, _from_key(body, (name, *scope), names))
+        case ("a", fun, arg):
+            return App(_from_key(fun, scope, names), _from_key(arg, scope, names))
+        case ("c", left, right):
+            return Choice(_from_key(left, scope, names), _from_key(right, scope, names))
 
 
 # ---------- printing ----------
@@ -356,28 +359,28 @@ def print_term(t: Term, canonical: bool = False) -> str:
     """
     if canonical:
         t = canonicalize(t)
+    return _pp(t, _TERM, True)
 
-    def pp(t: Term, level: int, trailing: bool) -> str:
-        match t:
-            case Var(name):
-                return name
-            case Abs(binder, body):
-                bare = trailing and level in (_TERM, _CHOICE_RIGHT)
-                s = f"\\{binder}. {pp(body, _TERM, True)}"
-                return s if bare else f"({s})"
-            case App(fun, arg):
-                s = f"{pp(fun, _APP_FUN, False)} {pp(arg, _APP_ARG, False)}"
-                return s if level <= _APP_FUN else f"({s})"
-            case Choice(left, right):
-                bare = level in (_TERM, _CHOICE_LEFT)
-                s = "{} (+) {}".format(
-                    pp(left, _CHOICE_LEFT, False),
-                    pp(right, _CHOICE_RIGHT, trailing if bare else True),
-                )
-                return s if bare else f"({s})"
-        raise TypeError(f"not a term: {t!r}")
 
-    return pp(t, _TERM, True)
+def _pp(t: Term, level: int, trailing: bool) -> str:
+    match t:
+        case Var(name):
+            return name
+        case Abs(binder, body):
+            bare = trailing and level in (_TERM, _CHOICE_RIGHT)
+            s = f"\\{binder}. {_pp(body, _TERM, True)}"
+            return s if bare else f"({s})"
+        case App(fun, arg):
+            s = f"{_pp(fun, _APP_FUN, False)} {_pp(arg, _APP_ARG, False)}"
+            return s if level <= _APP_FUN else f"({s})"
+        case Choice(left, right):
+            bare = level in (_TERM, _CHOICE_LEFT)
+            s = "{} (+) {}".format(
+                _pp(left, _CHOICE_LEFT, False),
+                _pp(right, _CHOICE_RIGHT, trailing if bare else True),
+            )
+            return s if bare else f"({s})"
+    raise TypeError(f"not a term: {t!r}")
 
 
 # ---------- parsing ----------

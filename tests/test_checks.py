@@ -10,7 +10,7 @@ from plam.checks import (
     run_duality_suite,
     run_simulation_suite,
 )
-from plam.syntax import parse
+from plam.syntax import ParseError, parse
 
 
 def _bundled(name):
@@ -33,8 +33,17 @@ def test_load_corpus_strips_comments_and_blanks(tmp_path):
 
 def test_load_corpus_reports_parse_position(tmp_path):
     path = tmp_path / "bad.l"
-    path.write_text("\\x. x\n((\n")
-    with pytest.raises(Exception):
+    path.write_text("\\x. x\n  ((  -- a comment\n")
+    with pytest.raises(ParseError) as exc:
+        load_corpus(str(path))
+    assert (exc.value.line, exc.value.col) == (2, 7)
+    assert str(exc.value) == "unexpected end of input (line 2, column 7)"
+
+
+def test_load_corpus_rejects_an_open_term_by_line(tmp_path):
+    path = tmp_path / "open.l"
+    path.write_text("TT\n\n\\x. y\n")
+    with pytest.raises(ValueError, match=r"^term has free variables: y \(line 3\)$"):
         load_corpus(str(path))
 
 

@@ -368,6 +368,22 @@ def test_check_unparseable_corpus_exits_one(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_check_names_the_corpus_line_of_a_bad_term(capsys, tmp_path):
+    corpus = tmp_path / "bad.l"
+    corpus.write_text("\\x. x\n(\\x. x\n")
+    code, _, err = run(capsys, ["check", "duality", "--corpus", str(corpus)])
+    assert code == EXIT_INVALID
+    assert err == "error: expected RPAREN (line 2, column 7)\n"
+
+
+def test_check_names_the_corpus_line_of_an_open_term(capsys, tmp_path):
+    corpus = tmp_path / "open.l"
+    corpus.write_text("-- closed terms only\nTT\n\\z. x y\n")
+    code, _, err = run(capsys, ["check", "duality", "--corpus", str(corpus)])
+    assert code == EXIT_INVALID
+    assert err == "error: term has free variables: x, y (line 3)\n"
+
+
 @pytest.mark.parametrize("suite", ["duality", "bigsmall", "simulation"])
 @pytest.mark.parametrize("fuel", ["0", "7", None])
 def test_check_passes_fuel_only_when_given(capsys, monkeypatch, suite, fuel):
