@@ -31,12 +31,14 @@ calling itself through its own cell would leave a cycle per call.
 
 The concrete syntax is
 
-    term := '\\' ident '.' term | app
-    app  := atom+
-    atom := ident | 'NAT' number | '(' term ')' | atom '(+)' atom
+    term    := operand ('(+)' operand)*
+    operand := '\\' ident '.' term | atom+
+    atom    := ident | 'NAT' number | '(' term ')'
 
-with application binding tighter than '(+)', '(+)' associating to the
-left, and '--' starting a comment that runs to the end of the line.
+so application binds tighter than '(+)', '(+)' associates to the left,
+and a lambda's body extends right.  In ASCII only, an ident matches
+[A-Za-z_][A-Za-z0-9_']*(#[0-9]+)? and a number [0-9]+.  '--' starts a
+comment that runs to the end of the line.
 The reserved constants (TT, FF, XOR, DELTA, OMEGA, H, MFDT, SUCC, GEO,
 PAIR) are written in this syntax in `_CONSTANT_TEXTS` and parsed once at
 import; `NAT n` is the Scott numeral n.
@@ -44,6 +46,7 @@ import; `NAT n` is the Scott numeral n.
 
 from __future__ import annotations
 
+import re
 import sys
 from itertools import count
 from operator import attrgetter
@@ -412,60 +415,29 @@ RESERVED = (*_CONSTANT_TEXTS, "NAT")
 # the parsed constants, filled in table order at the end of this module
 _CONSTANTS: dict[str, Term] = {}
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789'")
+# One pattern per token kind, tried in order.  Digits are ASCII, as
+# `int` takes them; continuation variables print as name#digits.
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r\n]+|--[^\n]*)"
+    r"|(?P<OPLUS>\(\+\)|⊕)"
+    r"|(?P<LPAREN>\()"
+    r"|(?P<RPAREN>\))"
+    r"|(?P<LAMBDA>[\\λ])"
+    r"|(?P<DOT>\.)"
+    r"|(?P<NUMBER>[0-9]+)"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_']*(?:#[0-9]+)?)"
+)
 
 
 def _lex(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-        elif text.startswith("--", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-        elif text.startswith("(+)", i):
-            tokens.append(("OPLUS", "(+)", i))
-            i += 3
-        elif c == "⊕":  # ⊕, alias for (+)
-            tokens.append(("OPLUS", c, i))
-            i += 1
-        elif c == "(":
-            tokens.append(("LPAREN", c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(("RPAREN", c, i))
-            i += 1
-        elif c in "\\λ":  # backslash or λ
-            tokens.append(("LAMBDA", c, i))
-            i += 1
-        elif c == ".":
-            tokens.append(("DOT", c, i))
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("NUMBER", text[i:j], i))
-            i = j
-        elif c in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            # continuation variables print as name#digits; accept them back
-            if j < n and text[j] == "#":
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k > j + 1:
-                    j = k
-            tokens.append(("IDENT", text[i:j], i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", text, i)
-    tokens.append(("EOF", "", n))
+    tokens, i = [], 0
+    while i < len(text):
+        if (m := _TOKEN.match(text, i)) is None:
+            raise ParseError(f"unexpected character {text[i]!r}", text, i)
+        if m.lastgroup != "skip":
+            tokens.append((m.lastgroup, m.group(), i))
+        i = m.end()
+    tokens.append(("EOF", "", i))
     return tokens
 
 
@@ -494,34 +466,23 @@ class _Parser:
         return tok
 
     def term(self) -> Term:
-        if self.peek()[0] == "LAMBDA":
-            return self.lam()
-        return self.choice()
-
-    def lam(self) -> Term:
-        self.expect("LAMBDA")
-        tok = self.expect("IDENT")
-        if tok[1] in RESERVED:
-            raise ParseError(f"{tok[1]} is a reserved constant", self.text, tok[2])
-        self.expect("DOT")
-        return Abs(tok[1], self.term())
-
-    def choice(self) -> Term:
-        left = self.app()
+        # a lambda's body extends right, so no '(+)' follows a lambda
+        t = self.operand()
         while self.peek()[0] == "OPLUS":
             self.take()
-            right = self.lam() if self.peek()[0] == "LAMBDA" else self.app()
-            left = Choice(left, right)
-        return left
+            t = Choice(t, self.operand())
+        return t
 
-    def app(self) -> Term:
+    def operand(self) -> Term:
+        if self.peek()[0] == "LAMBDA":
+            self.take()
+            tok = self.expect("IDENT")
+            if tok[1] in RESERVED:
+                raise ParseError(f"{tok[1]} is a reserved constant", self.text, tok[2])
+            self.expect("DOT")
+            return Abs(tok[1], self.term())
         t = self.atom()
         while self.peek()[0] in ("IDENT", "LPAREN", "NUMBER"):
-            if self.peek()[0] == "NUMBER":
-                tok = self.peek()
-                raise ParseError(
-                    "number literal only allowed after NAT", self.text, tok[2]
-                )
             t = App(t, self.atom())
         return t
 
@@ -537,11 +498,13 @@ class _Parser:
             t = self.term()
             self.expect("RPAREN")
             return t
-        raise ParseError(
-            f"expected a term, found {tok[1]!r}" if tok[1] else "unexpected end of input",
-            self.text,
-            tok[2],
-        )
+        if tok[0] == "NUMBER":
+            reason = "number literal only allowed after NAT"
+        elif tok[1]:
+            reason = f"expected a term, found {tok[1]!r}"
+        else:
+            reason = "unexpected end of input"
+        raise ParseError(reason, self.text, tok[2])
 
 
 def parse(text: str) -> Term:

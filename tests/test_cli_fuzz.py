@@ -26,7 +26,7 @@ for _name in ("golden.l", "terminating.l", "diverging.l"):
         WELL_FORMED += [text for text, _ in load_corpus(str(_p))]
 
 # short strings over the term alphabet: mostly malformed, a few parse
-MALFORMED = st.text(alphabet="\\λ.() x(+)⊕-#0N", max_size=16)
+MALFORMED = st.text(alphabet="\\λ.() x(+)⊕-#0N²٣", max_size=16)
 TERMS = st.one_of(st.sampled_from(WELL_FORMED), MALFORMED)
 STRATEGIES = st.sampled_from(["cbv", "cbn", "cbx", ""])
 SMALL = st.integers(-2, 64)

@@ -77,12 +77,26 @@ def test_parse_hash_suffixed_names_round_trip():
         ("(+) x", "expected a term, found '(+)' (line 1, column 1)"),
         ("\\. x", "expected IDENT, found '.' (line 1, column 2)"),
         ("x )", "expected EOF, found ')' (line 1, column 3)"),
+        # digits are ASCII: int() rejects '²', and '٣' is not a 3
+        ("NAT ²", "unexpected character '²' (line 1, column 5)"),
+        ("NAT ٣", "unexpected character '٣' (line 1, column 5)"),
+        # one message for a number outside NAT n, wherever it stands
+        ("x 3", "number literal only allowed after NAT (line 1, column 3)"),
+        ("3", "number literal only allowed after NAT (line 1, column 1)"),
+        ("(3)", "number literal only allowed after NAT (line 1, column 2)"),
+        ("x (+) 3", "number literal only allowed after NAT (line 1, column 7)"),
+        ("\\x. 3", "number literal only allowed after NAT (line 1, column 5)"),
     ],
 )
 def test_parse_errors_carry_position(text, message):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert str(exc.value) == message
+
+
+def test_parse_takes_deeply_nested_parentheses():
+    n = 6000
+    assert parse("(" * n + "x" + ")" * n) == Var("x")
 
 
 def test_parse_strips_comments():
