@@ -14,12 +14,18 @@ Continuation binders come from the k#<n> namespace, numbered from 1 in
 each top-level translation, so output is reproducible; when the input
 already uses some k#<n> names (the parser accepts them), numbering
 starts past the largest such n, so no continuation binder captures one.
+
+The simulation checks map each source outcome that is an abstraction of
+the input through the image its translation already built, the object
+the target run delivers, and build psi/phi afresh only for the rest.
+So `SimulationReport.mapped_lower` holds the translation's own images:
+alpha-equal to psi_dist/phi_dist of the source, but their plain printing
+may number the k#<n> binders differently.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import count
 
@@ -30,13 +36,28 @@ from .syntax import Abs, App, Choice, Term, Var, is_value
 
 IDENTITY = Abs("x", Var("x"))
 
-_Fresh = Callable[[], str]  # each call hands out the next k#<n>
-
-
 _CONT_NAME = re.compile("k#([0-9]+)")
 
 
-def _fresh(*inputs: Term) -> _Fresh:
+class _Fresh:
+    """One translation's name supply: each call hands out the next k#<n>.
+
+    `images` is None, or a dict in which the translation records the
+    image each abstraction of its input gets inside the output, keyed by
+    the abstraction's id(); an abstraction object that occurs more than
+    once in the input keeps the image of its first translation."""
+
+    __slots__ = ("_next", "images")
+
+    def __init__(self, first: int, images: dict[int, Term] | None):
+        self._next = map("k#{}".format, count(first)).__next__
+        self.images = images
+
+    def __call__(self) -> str:
+        return self._next()
+
+
+def _fresh(*inputs: Term, images: dict[int, Term] | None = None) -> _Fresh:
     """k#<n> from n = 1, or from past the largest n the inputs already
     use as a name, so that no continuation binder captures one."""
     top = 0
@@ -54,7 +75,15 @@ def _fresh(*inputs: Term) -> _Fresh:
                 top = max(top, int(found[1]))
             if kind is Abs:
                 stack.append(t._body)
-    return map("k#{}".format, count(top + 1)).__next__
+    return _Fresh(top + 1, images)
+
+
+def _recorded(v: Term, image: Term, k: _Fresh) -> Term:
+    """image, after it is noted as the abstraction v's in k's record, if
+    k keeps one."""
+    if k.images is not None:
+        k.images.setdefault(id(v), image)
+    return image
 
 
 # ---------- call-by-value source, call-by-name target ----------
@@ -94,12 +123,15 @@ def _psi(v: Term, k: _Fresh) -> Term:
         case Var():
             return v
         case Abs(binder, body):
-            return Abs(binder, _v2n(body, k))
+            return _recorded(v, Abs(binder, _v2n(body, k)), k)
     raise ValueError(f"not a value: {v}")
 
 
-def cps_v_to_n(t: Term) -> Term:
-    return _v2n(t, _fresh(t))
+def cps_v_to_n(t: Term, images: dict[int, Term] | None = None) -> Term:
+    """t translated.  When `images` is a dict, it receives, keyed by
+    id(V), the image psi(V) built inside the output for each abstraction
+    V of t; the ids name t's own subterms only while t is alive."""
+    return _v2n(t, _fresh(t, images=images))
 
 
 def psi(v: Term) -> Term:
@@ -162,14 +194,17 @@ def _n2v(t: Term, k: _Fresh) -> Term:
         return Abs(e, App(_feeders(t._left, t._right, k), Var(e)))
     if type(t) is Abs:
         e = k()
-        return Abs(e, App(Var(e), Abs(t._binder, _n2v(t._body, k))))
+        return Abs(e, App(Var(e), _phi(t, k)))
     if type(t) is Var:
         return t
     raise TypeError(f"not a term: {t!r}")
 
 
-def cps_n_to_v(t: Term) -> Term:
-    return _n2v(t, _fresh(t))
+def cps_n_to_v(t: Term, images: dict[int, Term] | None = None) -> Term:
+    """t translated.  When `images` is a dict, it receives, keyed by
+    id(V), the image phi(V) built inside the output for each abstraction
+    V of t; the ids name t's own subterms only while t is alive."""
+    return _n2v(t, _fresh(t, images=images))
 
 
 def _phi(v: Term, k: _Fresh) -> Term:
@@ -178,7 +213,7 @@ def _phi(v: Term, k: _Fresh) -> Term:
             # not a value; callers relying on value-hood must keep v bound
             return App(v, Abs("y", Var("y")))
         case Abs(binder, body):
-            return Abs(binder, _n2v(body, k))
+            return _recorded(v, Abs(binder, _n2v(body, k)), k)
     raise ValueError(f"not a value: {v}")
 
 
@@ -216,6 +251,11 @@ def _colon_n(t: Term, cont: Term, k: _Fresh) -> Term:
 
 @dataclass(frozen=True)
 class SimulationReport:
+    """The outcome of one simulation check.  `mapped_lower` is the source
+    lower approximant mapped to the target side: alpha-equal to psi_dist
+    (phi_dist) of `source.lower`, through the images the translation
+    built, so plain printing may number their k#<n> binders otherwise."""
+
     status: str  # "PASS" | "BRACKET-CONSISTENT" | "FAIL"
     source: Bracket
     target: Bracket
@@ -232,12 +272,19 @@ def _brackets_overlap(a_lower: SubDist, a_res, b_lower: SubDist, b_res) -> bool:
 
 
 def _check_simulation(
-    t, fuel, frontier_cap, src_strategy, tgt_strategy, translate, map_dist
+    t, fuel, frontier_cap, src_strategy, tgt_strategy, translate, image
 ):
     source = approximate(t, src_strategy, fuel, frontier_cap)
-    target_term = App(translate(t), IDENTITY)
+    images: dict[int, Term] = {}
+    target_term = App(translate(t, images), IDENTITY)
     target = approximate(target_term, tgt_strategy, fuel, frontier_cap)
-    mapped = map_dist(source.lower)
+    # An outcome that is itself an abstraction of t takes the image the
+    # translation built for it, which is mostly the very object the
+    # target run delivers, so comparing the two needs no nameless keys;
+    # only outcomes the run built, such as numerals, get a new image.
+    mapped = SubDist(
+        (images.get(id(v)) or image(v), m) for v, m in source.lower.items()
+    )
     if not source.residual and not target.residual:
         if mapped == target.lower:
             status, detail = "PASS", "stabilized, exactly equal"
@@ -256,7 +303,7 @@ def check_simulation_v_by_n(
 ) -> SimulationReport:
     """Compare psi of the call-by-value run against the call-by-name run
     of the translation applied to the identity continuation."""
-    return _check_simulation(t, fuel, frontier_cap, CBV, CBN, cps_v_to_n, psi_dist)
+    return _check_simulation(t, fuel, frontier_cap, CBV, CBN, cps_v_to_n, psi)
 
 
 def check_simulation_n_by_v(
@@ -264,4 +311,4 @@ def check_simulation_n_by_v(
 ) -> SimulationReport:
     """Dual direction: phi of the call-by-name run against the
     call-by-value run of the translation applied to the identity."""
-    return _check_simulation(t, fuel, frontier_cap, CBN, CBV, cps_n_to_v, phi_dist)
+    return _check_simulation(t, fuel, frontier_cap, CBN, CBV, cps_n_to_v, phi)

@@ -30,7 +30,17 @@ from plam.cps import (
 from plam.dist import HALF, SubDist, from_value
 from plam.reduction import CBN, CBV
 from plam.smallstep import approximate
-from plam.syntax import App, Var, is_value, parse, print_term, size, substitute
+from plam.syntax import (
+    Abs,
+    App,
+    Choice,
+    Var,
+    is_value,
+    parse,
+    print_term,
+    size,
+    substitute,
+)
 
 XOR_PROGRAM = parse("(\\x. XOR x x) (TT (+) FF)")
 K_ID = parse("\\v. v")
@@ -264,3 +274,88 @@ def test_simulation_on_omega_is_trivially_consistent():
     r = check_simulation_v_by_n(parse("OMEGA"), 32)
     assert r.status == "BRACKET-CONSISTENT"
     assert r.source.lower == SubDist()
+
+
+# ---------- simulation images come from the translation ----------
+
+
+def _reference_simulation(t, fuel, src, tgt, translate, image_dist):
+    """status, detail, source, target and mapped lower of a simulation
+    check, recomputed through the public functions."""
+    source = approximate(t, src, fuel)
+    target = approximate(App(translate(t), IDENTITY), tgt, fuel)
+    mapped = image_dist(source.lower)
+    if not source.residual and not target.residual:
+        if mapped == target.lower:
+            status, detail = "PASS", "stabilized, exactly equal"
+        else:
+            status, detail = "FAIL", "stabilized but unequal"
+    elif all(
+        mapped.get(v) <= target.lower.get(v) + target.residual
+        and target.lower.get(v) <= mapped.get(v) + source.residual
+        for v in [*mapped.support(), *target.lower.support()]
+    ):
+        status = "BRACKET-CONSISTENT"
+        detail = "not stabilized; brackets overlap pointwise"
+    else:
+        status, detail = "FAIL", "brackets disjoint at some value"
+    return status, detail, source, target, mapped
+
+
+SIMULATIONS = (
+    (check_simulation_v_by_n, CBV, CBN, cps_v_to_n, psi_dist),
+    (check_simulation_n_by_v, CBN, CBV, cps_n_to_v, phi_dist),
+)
+
+
+def test_simulation_reports_match_a_recomputation_through_public_functions():
+    rng = random.Random(20261021)
+    terms = gate_terms() + [random_term(rng, 25) for _ in range(100)]
+    for check, src, tgt, translate, image_dist in SIMULATIONS:
+        for fuel in (0, 3, 16, 50):
+            for t in terms:
+                r = check(t, fuel)
+                status, detail, source, target, mapped = _reference_simulation(
+                    t, fuel, src, tgt, translate, image_dist
+                )
+                assert (r.status, r.detail) == (status, detail), print_term(t)
+                assert r.source == source and r.target == target
+                # SubDist equality: the same masses on alpha-equal values
+                assert r.mapped_lower == mapped
+
+
+@pytest.mark.parametrize("text", ["(\\x. x) (\\y. y)", "TT (+) FF"])
+def test_mapped_outcomes_are_the_target_values_themselves(text):
+    # each mapped image is the object the target run delivered, not an
+    # alpha-equal copy built after the run
+    for check in (check_simulation_v_by_n, check_simulation_n_by_v):
+        r = check(parse(text), 50)
+        assert r.status == "PASS"
+        target_values = [v for v, _ in r.target.lower.items()]
+        for v, _ in r.mapped_lower.items():
+            assert any(v is w for w in target_values)
+
+
+def _abstractions(t):
+    stack, found = [t], []
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Abs):
+            found.append(t)
+            stack.append(t.body)
+        elif isinstance(t, App):
+            stack += (t.fun, t.arg)
+        elif isinstance(t, Choice):
+            stack += (t.left, t.right)
+    return found
+
+
+def test_a_recording_translation_prints_as_one_that_does_not():
+    for t in gate_terms():
+        for translate, image in ((cps_v_to_n, psi), (cps_n_to_v, phi)):
+            images = {}
+            assert print_term(translate(t, images)) == print_term(translate(t))
+            abstractions = _abstractions(t)
+            assert images.keys() == {id(v) for v in abstractions}
+            for v in abstractions:
+                assert images[id(v)] == image(v)
